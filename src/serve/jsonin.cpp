@@ -1,8 +1,9 @@
 #include "serve/jsonin.hpp"
 
-#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <system_error>
 
 namespace lookhd::serve {
 
@@ -10,34 +11,98 @@ namespace {
 
 constexpr std::size_t kMaxDepth = 32;
 
-/** Recursive-descent parser over a string_view cursor. */
-class Parser
+bool
+isNumberChar(char c)
+{
+    return (c >= '0' && c <= '9') || c == '.' || c == 'e' ||
+           c == 'E' || c == '+' || c == '-';
+}
+
+/**
+ * The number at @p first: true when the run of number characters
+ * starting there is exactly one finite number, with @p end set past
+ * it. from_chars() parses in place; a run it stops short of (such as
+ * "1.5e") is not a number. It may read on past the run into "inf"
+ * or "nan" ("-inf"), but those are not finite, so the run is
+ * rejected either way.
+ */
+bool
+scanNumber(const char *first, const char *last, const char *&end,
+           double &out)
+{
+    const char *p = first;
+    // strtod takes one leading '+'; from_chars takes none.
+    if (p != last && *p == '+') {
+        ++p;
+        if (p != last && *p == '-')
+            return false;
+    }
+    double v = 0.0;
+    const auto [stop, ec] = std::from_chars(p, last, v);
+    if (ec == std::errc::invalid_argument ||
+        (stop != last && isNumberChar(*stop)))
+        return false;
+    if (ec == std::errc::result_out_of_range) {
+        // from_chars gives no value for a range error. strtod rounds
+        // an underflow to a signed zero and an overflow to infinity,
+        // which the finiteness check below rejects.
+        const std::string token(first, stop);
+        v = std::strtod(token.c_str(), nullptr);
+    }
+    if (!std::isfinite(v))
+        return false;
+    end = stop;
+    out = v;
+    return true;
+}
+
+/**
+ * The lexer and grammar both readers share: whitespace, literals,
+ * strings, numbers, the object/array walk, and validate-only
+ * skipping of whole values. The first failure latches its message
+ * with the offset where it happened.
+ */
+class Lexer
 {
   public:
-    Parser(std::string_view text, std::string &error)
+    Lexer(std::string_view text, std::string &error)
         : text_(text), error_(error)
     {
     }
 
-    bool
-    parseDocument(JsonValue &out)
-    {
-        skipWhitespace();
-        if (!parseValue(out, 0))
-            return false;
-        skipWhitespace();
-        if (pos_ != text_.size())
-            return fail("trailing characters after document");
-        return true;
-    }
-
-  private:
+  protected:
     bool
     fail(const std::string &message)
     {
         if (error_.empty())
             error_ = message + " at offset " + std::to_string(pos_);
         return false;
+    }
+
+    bool
+    at(char c) const
+    {
+        return pos_ < text_.size() && text_[pos_] == c;
+    }
+
+    /** Does the next value go to parseNumber() (any first byte that
+     * opens no other kind of value)? */
+    bool
+    atNumber() const
+    {
+        if (pos_ >= text_.size())
+            return false;
+        switch (text_[pos_]) {
+        case '{':
+        case '[':
+        case '"':
+        case 't':
+        case 'f':
+        case 'n':
+            return false;
+        default:
+            return true;
+        }
     }
 
     void
@@ -54,7 +119,7 @@ class Parser
     bool
     consume(char expected)
     {
-        if (pos_ < text_.size() && text_[pos_] == expected) {
+        if (at(expected)) {
             ++pos_;
             return true;
         }
@@ -70,8 +135,77 @@ class Parser
         return true;
     }
 
+    /** After the document: only whitespace may follow. */
     bool
-    parseValue(JsonValue &out, std::size_t depth)
+    finish()
+    {
+        skipWhitespace();
+        if (pos_ != text_.size())
+            return fail("trailing characters after document");
+        return true;
+    }
+
+    /**
+     * '{' key ':' value (',' ...)* '}'. onMember(key) reads one value
+     * (starting before its whitespace); the key is decoded.
+     */
+    template <typename OnMember>
+    bool
+    object(OnMember &&onMember)
+    {
+        if (!consume('{'))
+            return false;
+        skipWhitespace();
+        if (at('}')) {
+            ++pos_;
+            return true;
+        }
+        std::string key;
+        while (true) {
+            skipWhitespace();
+            if (!parseString(&key))
+                return false;
+            skipWhitespace();
+            if (!consume(':'))
+                return false;
+            if (!onMember(key))
+                return false;
+            skipWhitespace();
+            if (at(',')) {
+                ++pos_;
+                continue;
+            }
+            return consume('}');
+        }
+    }
+
+    /** '[' value (',' value)* ']'; onElement() reads one value. */
+    template <typename OnElement>
+    bool
+    array(OnElement &&onElement)
+    {
+        if (!consume('['))
+            return false;
+        skipWhitespace();
+        if (at(']')) {
+            ++pos_;
+            return true;
+        }
+        while (true) {
+            if (!onElement())
+                return false;
+            skipWhitespace();
+            if (at(',')) {
+                ++pos_;
+                continue;
+            }
+            return consume(']');
+        }
+    }
+
+    /** Validate one value at @p depth without keeping it. */
+    bool
+    skipValue(std::size_t depth)
     {
         if (depth > kMaxDepth)
             return fail("nesting too deep");
@@ -80,128 +214,80 @@ class Parser
             return fail("unexpected end of input");
         switch (text_[pos_]) {
         case '{':
-            return parseObject(out, depth);
+            return object([&](const std::string &) {
+                return skipValue(depth + 1);
+            });
         case '[':
-            return parseArray(out, depth);
+            return array([&] { return skipValue(depth + 1); });
         case '"':
-            out.type = JsonValue::Type::kString;
-            return parseString(out.string);
+            return parseString(nullptr);
         case 't':
-            out.type = JsonValue::Type::kBool;
-            out.boolean = true;
             return literal("true");
         case 'f':
-            out.type = JsonValue::Type::kBool;
-            out.boolean = false;
             return literal("false");
         case 'n':
-            out.type = JsonValue::Type::kNull;
             return literal("null");
-        default:
-            return parseNumber(out);
+        default: {
+            double ignored = 0.0;
+            return parseNumber(ignored);
+        }
         }
     }
 
+    /** A quoted string, decoded into @p out (validated only when
+     * null). */
     bool
-    parseObject(JsonValue &out, std::size_t depth)
-    {
-        out.type = JsonValue::Type::kObject;
-        if (!consume('{'))
-            return false;
-        skipWhitespace();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWhitespace();
-            std::string key;
-            if (!parseString(key))
-                return false;
-            skipWhitespace();
-            if (!consume(':'))
-                return false;
-            JsonValue member;
-            if (!parseValue(member, depth + 1))
-                return false;
-            out.object[key] = std::move(member);
-            skipWhitespace();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            return consume('}');
-        }
-    }
-
-    bool
-    parseArray(JsonValue &out, std::size_t depth)
-    {
-        out.type = JsonValue::Type::kArray;
-        if (!consume('['))
-            return false;
-        skipWhitespace();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            JsonValue element;
-            if (!parseValue(element, depth + 1))
-                return false;
-            out.array.push_back(std::move(element));
-            skipWhitespace();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            return consume(']');
-        }
-    }
-
-    bool
-    parseString(std::string &out)
+    parseString(std::string *out)
     {
         if (!consume('"'))
             return false;
-        out.clear();
+        if (out != nullptr)
+            out->clear();
+        const auto put = [out](char c) {
+            if (out != nullptr)
+                out->push_back(c);
+        };
         while (pos_ < text_.size()) {
+            // Copy the run of plain characters in one go.
+            const std::size_t run = pos_;
+            while (pos_ < text_.size()) {
+                const auto c = static_cast<unsigned char>(text_[pos_]);
+                if (c == '"' || c == '\\' || c < 0x20)
+                    break;
+                ++pos_;
+            }
+            if (out != nullptr)
+                out->append(text_.data() + run, pos_ - run);
+            if (pos_ >= text_.size())
+                break;
             const char c = text_[pos_++];
             if (c == '"')
                 return true;
-            if (static_cast<unsigned char>(c) < 0x20)
+            if (c != '\\')
                 return fail("unescaped control character in string");
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (pos_ >= text_.size())
                 return fail("dangling escape");
             const char esc = text_[pos_++];
             switch (esc) {
             case '"':
-                out += '"';
-                break;
             case '\\':
-                out += '\\';
-                break;
             case '/':
-                out += '/';
+                put(esc);
                 break;
             case 'b':
-                out += '\b';
+                put('\b');
                 break;
             case 'f':
-                out += '\f';
+                put('\f');
                 break;
             case 'n':
-                out += '\n';
+                put('\n');
                 break;
             case 'r':
-                out += '\r';
+                put('\r');
                 break;
             case 't':
-                out += '\t';
+                put('\t');
                 break;
             case 'u': {
                 if (pos_ + 4 > text_.size())
@@ -223,15 +309,14 @@ class Parser
                 // land as two replacement-style sequences; feature
                 // vectors never need them).
                 if (code < 0x80) {
-                    out += static_cast<char>(code);
+                    put(static_cast<char>(code));
                 } else if (code < 0x800) {
-                    out += static_cast<char>(0xC0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
+                    put(static_cast<char>(0xC0 | (code >> 6)));
+                    put(static_cast<char>(0x80 | (code & 0x3F)));
                 } else {
-                    out += static_cast<char>(0xE0 | (code >> 12));
-                    out += static_cast<char>(0x80 |
-                                             ((code >> 6) & 0x3F));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
+                    put(static_cast<char>(0xE0 | (code >> 12)));
+                    put(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+                    put(static_cast<char>(0x80 | (code & 0x3F)));
                 }
                 break;
             }
@@ -242,30 +327,17 @@ class Parser
         return fail("unterminated string");
     }
 
+    /** The longest run of number characters, as one finite number. */
     bool
-    parseNumber(JsonValue &out)
+    parseNumber(double &out)
     {
-        const std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(
-                    text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            ++pos_;
-        if (pos_ == start)
+        if (pos_ >= text_.size() || !isNumberChar(text_[pos_]))
             return fail("expected a value");
-        const std::string token(text_.substr(start, pos_ - start));
-        char *end = nullptr;
-        const double v = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size() || !std::isfinite(v)) {
-            pos_ = start;
+        const char *const first = text_.data() + pos_;
+        const char *end = nullptr;
+        if (!scanNumber(first, text_.data() + text_.size(), end, out))
             return fail("bad number");
-        }
-        out.type = JsonValue::Type::kNumber;
-        out.number = v;
+        pos_ += static_cast<std::size_t>(end - first);
         return true;
     }
 
@@ -273,6 +345,162 @@ class Parser
     std::string &error_;
     std::size_t pos_ = 0;
 };
+
+/** Tree builder: any document into a JsonValue. */
+class DomParser : Lexer
+{
+  public:
+    using Lexer::Lexer;
+
+    bool
+    parseDocument(JsonValue &out)
+    {
+        skipWhitespace();
+        return parseValue(out, 0) && finish();
+    }
+
+  private:
+    bool
+    parseValue(JsonValue &out, std::size_t depth)
+    {
+        if (depth > kMaxDepth)
+            return fail("nesting too deep");
+        skipWhitespace();
+        if (pos_ >= text_.size())
+            return fail("unexpected end of input");
+        switch (text_[pos_]) {
+        case '{':
+            out.type = JsonValue::Type::kObject;
+            return object([&](const std::string &key) {
+                JsonValue member;
+                if (!parseValue(member, depth + 1))
+                    return false;
+                out.object[key] = std::move(member);
+                return true;
+            });
+        case '[':
+            out.type = JsonValue::Type::kArray;
+            return array([&] {
+                JsonValue element;
+                if (!parseValue(element, depth + 1))
+                    return false;
+                out.array.push_back(std::move(element));
+                return true;
+            });
+        case '"':
+            out.type = JsonValue::Type::kString;
+            return parseString(&out.string);
+        case 't':
+            out.type = JsonValue::Type::kBool;
+            out.boolean = true;
+            return literal("true");
+        case 'f':
+            out.type = JsonValue::Type::kBool;
+            out.boolean = false;
+            return literal("false");
+        case 'n':
+            out.type = JsonValue::Type::kNull;
+            return literal("null");
+        default:
+            out.type = JsonValue::Type::kNumber;
+            return parseNumber(out.number);
+        }
+    }
+};
+
+/**
+ * Request reader: walks the same grammar as DomParser, keeps the
+ * request members of a root object and skips everything else.
+ * Root members sit at depth 1 and feature elements at depth 2, as in
+ * the tree.
+ */
+class RequestReader : Lexer
+{
+  public:
+    RequestReader(std::string_view text, std::string &error,
+                  RequestFields &out)
+        : Lexer(text, error), out_(out)
+    {
+    }
+
+    bool
+    read()
+    {
+        skipWhitespace();
+        if (!at('{'))
+            return skipValue(0) && finish();
+        return object([&](const std::string &key) {
+                   return readMember(key);
+               }) &&
+               finish();
+    }
+
+  private:
+    bool
+    readMember(const std::string &key)
+    {
+        skipWhitespace();
+        if (key == "features")
+            return readFeatures();
+        if (key == "id") {
+            out_.idKind = IdKind::kNone;
+            if (at('"')) {
+                out_.idKind = IdKind::kString;
+                return parseString(&out_.idString);
+            }
+            if (atNumber()) {
+                out_.idKind = IdKind::kNumber;
+                return parseNumber(out_.idNumber);
+            }
+        } else if (key == "scores") {
+            out_.wantScores = at('t');
+        } else if (key == "trace") {
+            out_.traceText.clear();
+            if (at('"'))
+                return parseString(&out_.traceText);
+        }
+        return skipValue(1);
+    }
+
+    bool
+    readFeatures()
+    {
+        out_.features.clear();
+        if (!at('[')) {
+            out_.featureState = RequestFields::Features::kMissing;
+            return skipValue(1);
+        }
+        out_.featureState = RequestFields::Features::kNumeric;
+        return array([&] {
+            skipWhitespace();
+            if (!atNumber()) {
+                out_.featureState =
+                    RequestFields::Features::kNonNumeric;
+                return skipValue(2);
+            }
+            double v = 0.0;
+            if (!parseNumber(v))
+                return false;
+            out_.features.push_back(v);
+            return true;
+        });
+    }
+
+    RequestFields &out_;
+};
+
+/** Back to "no members", keeping the capacity of the feature row. */
+void
+clearFields(RequestFields &f)
+{
+    f.idKind = IdKind::kNone;
+    f.idNumber = 0.0;
+    f.idString.clear();
+    f.wantScores = false;
+    f.traceText.clear();
+    f.featureState = RequestFields::Features::kMissing;
+    f.features.clear();
+}
 
 } // namespace
 
@@ -290,10 +518,23 @@ parseJson(std::string_view text, std::string &error)
 {
     error.clear();
     auto value = std::make_unique<JsonValue>();
-    Parser parser(text, error);
+    DomParser parser(text, error);
     if (!parser.parseDocument(*value))
         return nullptr;
     return value;
+}
+
+bool
+readRequest(std::string_view line, RequestFields &out,
+            std::string &error)
+{
+    error.clear();
+    clearFields(out);
+    RequestReader reader(line, error, out);
+    if (reader.read())
+        return true;
+    clearFields(out);
+    return false;
 }
 
 } // namespace lookhd::serve

@@ -69,14 +69,6 @@ httpResponse(const std::string &status,
 
 } // namespace
 
-/** Requests' echoed id: absent, numeric, or string. */
-enum class IdKind
-{
-    kNone,
-    kNumber,
-    kString,
-};
-
 struct InferenceServer::Connection
 {
     explicit Connection(TcpStream s) : stream(std::move(s)) {}
@@ -88,14 +80,16 @@ struct InferenceServer::Connection
     util::Mutex writeMutex;
     std::atomic<bool> open{true};
 
-    /** Serialize one response line; false once the peer went away. */
+    /** Send one response line (one send for body and newline);
+     * false once the peer went away. */
     bool
-    writeLine(const std::string &body)
+    writeLine(std::string body)
     {
+        body += '\n';
         const util::MutexLock lock(writeMutex);
         if (!open.load(std::memory_order_relaxed))
             return false;
-        if (!stream.sendAll(body) || !stream.sendAll("\n")) {
+        if (!stream.sendAll(body)) {
             open.store(false, std::memory_order_relaxed);
             return false;
         }
@@ -106,11 +100,8 @@ struct InferenceServer::Connection
 struct InferenceServer::Request
 {
     std::shared_ptr<Connection> conn;
-    IdKind idKind = IdKind::kNone;
-    double idNumber = 0.0;
-    std::string idString;
-    std::vector<double> features;
-    bool wantScores = false;
+    /** What the request line carried: id, scores flag, features. */
+    RequestFields fields;
     std::uint64_t enqueueNs = 0;
     /** processNanoseconds() when a worker popped this request. */
     std::uint64_t popNs = 0;
@@ -144,22 +135,21 @@ struct InferenceServer::WorkerState
 namespace {
 
 void
-writeId(obs::JsonWriter &w, IdKind kind, double number,
-        const std::string &string)
+writeId(obs::JsonWriter &w, const RequestFields &fields)
 {
-    if (kind == IdKind::kNumber)
-        w.kv("id", number);
-    else if (kind == IdKind::kString)
-        w.kv("id", string);
+    if (fields.idKind == IdKind::kNumber)
+        w.kv("id", fields.idNumber);
+    else if (fields.idKind == IdKind::kString)
+        w.kv("id", fields.idString);
 }
 
 std::string
-errorBody(IdKind kind, double number, const std::string &string,
-          const obs::TraceId &trace, const std::string &message)
+errorBody(const RequestFields &fields, const obs::TraceId &trace,
+          const std::string &message)
 {
     obs::JsonWriter w;
     w.beginObject();
-    writeId(w, kind, number, string);
+    writeId(w, fields);
     if (!trace.zero())
         w.kv("trace", obs::traceIdHex(trace));
     w.kv("error", message);
@@ -169,16 +159,17 @@ errorBody(IdKind kind, double number, const std::string &string,
 
 /** The echoed request id as plain text ("" when absent). */
 std::string
-idText(IdKind kind, double number, const std::string &string)
+idText(const RequestFields &fields)
 {
-    if (kind == IdKind::kString)
-        return string;
-    if (kind == IdKind::kNone)
+    if (fields.idKind == IdKind::kString)
+        return fields.idString;
+    if (fields.idKind == IdKind::kNone)
         return {};
+    const double number = fields.idNumber;
     char buf[32];
-    if (number ==
-            static_cast<double>(static_cast<long long>(number)) &&
-        number > -1e15 && number < 1e15) {
+    if (number > -1e15 && number < 1e15 &&
+        number ==
+            static_cast<double>(static_cast<long long>(number))) {
         std::snprintf(buf, sizeof(buf), "%lld",
                       static_cast<long long>(number));
     } else {
@@ -479,68 +470,45 @@ InferenceServer::handleRequestLine(
     Request req;
     req.conn = conn;
     req.ctx.startNs = util::Timer::processNanoseconds();
+    RequestFields &fields = req.fields;
+    fields.features.reserve(expectedFeatures_);
     std::string parseError;
-    const std::unique_ptr<JsonValue> doc =
-        parseJson(line, parseError);
-
-    if (doc) {
-        if (const JsonValue *id = doc->find("id")) {
-            if (id->isNumber()) {
-                req.idKind = IdKind::kNumber;
-                req.idNumber = id->number;
-            } else if (id->isString()) {
-                req.idKind = IdKind::kString;
-                req.idString = id->string;
-            }
-        }
-        if (const JsonValue *scores = doc->find("scores"))
-            req.wantScores =
-                scores->type == JsonValue::Type::kBool &&
-                scores->boolean;
-        // A client-supplied trace id is protocol (echoed even in
-        // -DLOOKHD_OBS=OFF builds); a malformed one is ignored, not
-        // rejected - tracing must never fail a request.
-        if (const JsonValue *trace = doc->find("trace"))
-            if (trace->isString() &&
-                obs::parseTraceIdHex(trace->string, req.ctx.trace))
-                req.ctx.clientSupplied = true;
-    }
+    const bool parsed = readRequest(line, fields, parseError);
+    // A client-supplied trace id is protocol (echoed even in
+    // -DLOOKHD_OBS=OFF builds); a malformed one is ignored, not
+    // rejected - tracing must never fail a request.
+    if (obs::parseTraceIdHex(fields.traceText, req.ctx.trace))
+        req.ctx.clientSupplied = true;
 
     auto reject = [&](const std::string &message,
                       obs::Counter &counter, const char *event) {
         counter.add();
         obs::EventLog::global().emit(obs::LogLevel::kWarn, event,
                                      {{"error", message}});
-        conn->writeLine(errorBody(req.idKind, req.idNumber,
-                                  req.idString, req.ctx.trace,
-                                  message));
+        conn->writeLine(errorBody(fields, req.ctx.trace, message));
+    };
+    const auto rejectBad = [&](const std::string &message) {
+        reject(message, requestsBad_, "serve.request.bad");
     };
 
-    if (!doc) {
-        reject("bad JSON: " + parseError, requestsBad_,
-               "serve.request.bad");
+    if (!parsed) {
+        rejectBad("bad JSON: " + parseError);
         return;
     }
-    const JsonValue *features = doc->find("features");
-    if (features == nullptr || !features->isArray()) {
-        reject("missing \"features\" array", requestsBad_,
-               "serve.request.bad");
+    switch (fields.featureState) {
+    case RequestFields::Features::kMissing:
+        rejectBad("missing \"features\" array");
         return;
+    case RequestFields::Features::kNonNumeric:
+        rejectBad("non-numeric feature");
+        return;
+    case RequestFields::Features::kNumeric:
+        break;
     }
-    req.features.reserve(features->array.size());
-    for (const JsonValue &v : features->array) {
-        if (!v.isNumber()) {
-            reject("non-numeric feature", requestsBad_,
-                   "serve.request.bad");
-            return;
-        }
-        req.features.push_back(v.number);
-    }
-    if (req.features.size() != expectedFeatures_) {
-        reject("expected " + std::to_string(expectedFeatures_) +
-                   " features, got " +
-                   std::to_string(req.features.size()),
-               requestsBad_, "serve.request.bad");
+    if (fields.features.size() != expectedFeatures_) {
+        rejectBad("expected " + std::to_string(expectedFeatures_) +
+                  " features, got " +
+                  std::to_string(fields.features.size()));
         return;
     }
 
@@ -633,8 +601,7 @@ InferenceServer::processBatch(std::vector<Request> &batch,
             WorkerState::InflightEntry entry;
             if (!req.ctx.trace.zero())
                 entry.trace = obs::traceIdHex(req.ctx.trace);
-            entry.id = idText(req.idKind, req.idNumber,
-                              req.idString);
+            entry.id = idText(req.fields);
             entry.enqueueNs = req.enqueueNs;
             state.inflightBatch.push_back(std::move(entry));
         }
@@ -671,7 +638,7 @@ InferenceServer::processBatch(std::vector<Request> &batch,
     std::vector<std::span<const double>> rows;
     rows.reserve(batch.size());
     for (const Request &req : batch)
-        rows.emplace_back(req.features);
+        rows.emplace_back(req.fields.features);
     std::vector<std::vector<double>> batchScores;
     const std::uint64_t scoreStartNs =
         util::Timer::processNanoseconds();
@@ -703,11 +670,11 @@ InferenceServer::processBatch(std::vector<Request> &batch,
 
         obs::JsonWriter w;
         w.beginObject();
-        writeId(w, req.idKind, req.idNumber, req.idString);
+        writeId(w, req.fields);
         if (!req.ctx.trace.zero())
             w.kv("trace", obs::traceIdHex(req.ctx.trace));
         w.kv("pred", static_cast<std::uint64_t>(pred));
-        if (req.wantScores) {
+        if (req.fields.wantScores) {
             w.key("scores").beginArray();
             for (const double s : scores)
                 w.value(s);
@@ -766,8 +733,7 @@ InferenceServer::processBatch(std::vector<Request> &batch,
                     static_cast<std::uint64_t>(pred);
                 record.margin = scoreMargin(scores);
                 record.reason = reason;
-                record.clientId = idText(req.idKind, req.idNumber,
-                                         req.idString);
+                record.clientId = idText(req.fields);
                 slowLog_.record(std::move(record));
                 slowCaptured_.add();
             }
@@ -818,8 +784,7 @@ InferenceServer::debugInflightBody()
             w.beginObject();
             if (!req.ctx.trace.zero())
                 w.kv("trace", obs::traceIdHex(req.ctx.trace));
-            w.kv("id", idText(req.idKind, req.idNumber,
-                              req.idString));
+            w.kv("id", idText(req.fields));
             w.kv("age_ns", ageNs(req.enqueueNs));
             w.endObject();
         }

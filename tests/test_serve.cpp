@@ -184,23 +184,68 @@ TEST_F(ServeTest, BadRequestsGetErrorsAndKeepTheConnection)
     serve::TcpStream stream =
         serve::TcpStream::connect("127.0.0.1", server_->port());
 
-    auto expectError = [&](const std::string &request) {
+    // Each bad line gets exactly its error text, and the id echoed
+    // whenever the line was valid JSON with a number or string id.
+    auto expectError = [&](const std::string &request,
+                           const std::string &error,
+                           const std::string &id) {
+        SCOPED_TRACE(request);
         const auto doc = roundTrip(stream, request);
         ASSERT_NE(doc, nullptr);
-        EXPECT_NE(doc->find("error"), nullptr)
-            << "expected error for: " << request;
+        const serve::JsonValue *message = doc->find("error");
+        ASSERT_NE(message, nullptr);
+        EXPECT_EQ(message->string, error);
         EXPECT_EQ(doc->find("pred"), nullptr);
+        const serve::JsonValue *echoed = doc->find("id");
+        if (id.empty()) {
+            EXPECT_EQ(echoed, nullptr);
+            return;
+        }
+        ASSERT_NE(echoed, nullptr);
+        if (echoed->isString())
+            EXPECT_EQ(echoed->string, id);
+        else
+            EXPECT_EQ(echoed->number, std::stod(id));
     };
-    expectError("this is not json");
-    expectError("{\"id\":1}");
-    expectError("{\"id\":2,\"features\":[1,2]}"); // wrong count
-    expectError("{\"id\":3,\"features\":[\"a\"]}");
-
-    // The connection survives all of that.
     const std::vector<double> features(12, 0.5);
-    const auto ok = roundTrip(stream, requestLine(9, features));
-    ASSERT_NE(ok, nullptr);
-    EXPECT_NE(ok->find("pred"), nullptr);
+    expectError("this is not json", "bad JSON: bad literal at offset 0",
+                "");
+    expectError("{\"id\":1}", "missing \"features\" array", "1");
+    expectError("{\"id\":2,\"features\":[1,2]}",
+                "expected 12 features, got 2", "2");
+    expectError("{\"id\":3,\"features\":[\"a\"]}",
+                "non-numeric feature", "3");
+    expectError("{\"features\":[\"a\"],\"id\":4}",
+                "non-numeric feature", "4");
+    expectError("{\"id\":\"five\",\"features\":{\"a\":1}}",
+                "missing \"features\" array", "five");
+    // Last duplicate wins, for the id and for the features.
+    expectError("{\"id\":6,\"features\":[1],\"id\":true}",
+                "expected 12 features, got 1", "");
+    expectError("{\"id\":7,\"features\":[1,2],\"features\":[null]}",
+                "non-numeric feature", "7");
+    expectError("{\"id\":8,\"features\":[1e400]}",
+                "bad JSON: bad number at offset 20", "");
+    // Trailing garbage after a valid object rejects the whole line.
+    const std::string valid = requestLine(9, features);
+    expectError(valid + " x",
+                "bad JSON: trailing characters after document at "
+                "offset " +
+                    std::to_string(valid.size() + 1),
+                "");
+
+    // The connection survives all of that, and a valid request with
+    // nested unknown members is answered.
+    std::string extra = valid;
+    extra.insert(1, "\"meta\":{\"a\":[1,{\"b\":[true,null]}],"
+                    "\"c\":\"x\\\"y\"},");
+    for (const std::string &request : {valid, extra}) {
+        const auto ok = roundTrip(stream, request);
+        ASSERT_NE(ok, nullptr);
+        EXPECT_NE(ok->find("pred"), nullptr) << request;
+        ASSERT_NE(ok->find("id"), nullptr);
+        EXPECT_EQ(ok->find("id")->number, 9.0);
+    }
 }
 
 TEST_F(ServeTest, MetricsEndpointsServeSnapshotAndHealth)

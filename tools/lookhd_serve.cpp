@@ -281,6 +281,12 @@ main(int argc, char **argv)
         tools::startProfile(profile_out,
                             args.getInt("profile-hz", 0));
 
+        // Handlers go in before the ports are announced: a driver
+        // may send SIGTERM as soon as it reads them, and that must
+        // drain the server, not kill it.
+        std::signal(SIGTERM, handleStopSignal);
+        std::signal(SIGINT, handleStopSignal);
+
         serve::InferenceServer server(std::move(clf), cfg);
         server.start();
         std::printf("lookhd_serve: listening on 127.0.0.1:%u\n",
@@ -288,9 +294,6 @@ main(int argc, char **argv)
         std::printf("lookhd_serve: metrics on 127.0.0.1:%u\n",
                     server.metricsPort());
         std::fflush(stdout);
-
-        std::signal(SIGTERM, handleStopSignal);
-        std::signal(SIGINT, handleStopSignal);
 
         // Incremental slow-log flush: the seq watermark makes each
         // append emit only records captured since the last flush.
