@@ -4,7 +4,9 @@
  * wall-clock counterpart to the analytical CPU model. The interesting
  * ratios are baseline-encode vs lookup-encode, sequential-sum
  * training vs counter training, and uncompressed vs compressed
- * search.
+ * search. BM_WideningAccumulate times the encoder's int8-row
+ * accumulate kernel under each kernel dispatch (one row per
+ * iteration; unavailable dispatches are skipped).
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +15,7 @@
 
 #include "data/apps.hpp"
 #include "hdc/encoder.hpp"
+#include "hdc/kernels.hpp"
 #include "hdc/trainer.hpp"
 #include "lookhd/compressed_model.hpp"
 #include "lookhd/counter_trainer.hpp"
@@ -160,6 +163,44 @@ BM_QuantizeOnly(benchmark::State &state)
     }
 }
 BENCHMARK(BM_QuantizeOnly);
+
+void
+BM_WideningAccumulate(benchmark::State &state)
+{
+    namespace kernels = hdc::kernels;
+    const auto impl = static_cast<kernels::Impl>(state.range(0));
+    if (!kernels::implAvailable(impl)) {
+        state.SkipWithError("kernel implementation unavailable");
+        return;
+    }
+    // One SPEECH-shaped chunk row: D = 2000, elements in [-5, 5].
+    constexpr std::size_t kDim = 2000;
+    util::Rng rng(23);
+    std::vector<std::int8_t> row(kDim);
+    std::vector<std::int8_t> signs(kDim);
+    for (std::size_t i = 0; i < kDim; ++i) {
+        row[i] = static_cast<std::int8_t>(
+            static_cast<int>(rng.nextBelow(11)) - 5);
+        signs[i] = rng.nextBelow(2) == 0 ? -1 : 1;
+    }
+    std::vector<std::int32_t> acc(kDim, 0);
+    kernels::forceImpl(impl);
+    for (auto _ : state) {
+        kernels::addSignedI8I8(acc.data(), row.data(), signs.data(),
+                               kDim);
+        benchmark::DoNotOptimize(acc.data());
+        benchmark::ClobberMemory();
+    }
+    kernels::clearForcedImpl();
+    state.SetLabel(kernels::implName(impl));
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kDim));
+    // Per element: one int8 row byte, one sign byte, an int32 read
+    // and an int32 write.
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kDim * 10));
+}
+BENCHMARK(BM_WideningAccumulate)->DenseRange(0, 3);
 
 void
 BM_CompressedUpdate(benchmark::State &state)

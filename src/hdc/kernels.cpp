@@ -125,6 +125,14 @@ addSignedI8Scalar(std::int32_t *acc, const std::int32_t *row,
         acc[i] += row[i] * signs[i];
 }
 
+void
+addSignedI8I8Scalar(std::int32_t *acc, const std::int8_t *row,
+                    const std::int8_t *signs, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        acc[i] += static_cast<std::int32_t>(row[i]) * signs[i];
+}
+
 std::size_t
 matchCountWordsScalar(const std::uint64_t *a, const std::uint64_t *b,
                       std::size_t words, std::size_t dim)
@@ -174,6 +182,7 @@ constexpr detail::KernelTable kScalarTable = {
     dotRealI8Scalar,
     mulIntRealScalar,
     addSignedI8Scalar,
+    addSignedI8I8Scalar,
     matchCountWordsScalar,
     similarityBatchScalar,
     scoresBatchI8Scalar,
@@ -331,6 +340,13 @@ addSignedI8(std::int32_t *acc, const std::int32_t *row,
             const std::int8_t *signs, std::size_t n)
 {
     active().addSignedI8(acc, row, signs, n);
+}
+
+void
+addSignedI8I8(std::int32_t *acc, const std::int8_t *row,
+              const std::int8_t *signs, std::size_t n)
+{
+    active().addSignedI8I8(acc, row, signs, n);
 }
 
 std::size_t

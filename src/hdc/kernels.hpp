@@ -16,8 +16,11 @@
  *  - dotIntReal / dotRealI8 / similarityBatch: double accumulations
  *    used by class scoring;
  *  - mulIntReal / addSignedI8: the element-wise product and the
- *    key-signed accumulate of the compressed model and the lookup
- *    encoder;
+ *    key-signed int32 accumulate of the compressed model and the
+ *    counter trainer's weighted chunk sums;
+ *  - addSignedI8I8: the widening key-signed accumulate of int8
+ *    lookup-table rows into an int32 encoding (the lookup encoder
+ *    and counter-trainer finalize);
  *  - matchCountWords: the popcount word loop behind every packed
  *    Hamming similarity (deduplicated from bitpack.cpp).
  *
@@ -127,6 +130,15 @@ void addSignedI8(std::int32_t *acc, const std::int32_t *row,
                  const std::int8_t *signs, std::size_t n);
 
 /**
+ * acc[i] += int32(row[i]) * signs[i] over an int8 row: the widening
+ * encoder accumulate over int8 chunk-table rows. Exact for any int8
+ * inputs (each product fits int16), so every implementation agrees
+ * bit for bit with the scalar reference.
+ */
+void addSignedI8I8(std::int32_t *acc, const std::int8_t *row,
+                   const std::int8_t *signs, std::size_t n);
+
+/**
  * Agreeing-bit count (popcount of XNOR) over @p words packed words
  * holding @p dim valid bits; the tail word's unused bits are masked.
  */
@@ -178,6 +190,8 @@ struct KernelTable
                        std::size_t);
     void (*addSignedI8)(std::int32_t *, const std::int32_t *,
                         const std::int8_t *, std::size_t);
+    void (*addSignedI8I8)(std::int32_t *, const std::int8_t *,
+                          const std::int8_t *, std::size_t);
     std::size_t (*matchCountWords)(const std::uint64_t *,
                                    const std::uint64_t *, std::size_t,
                                    std::size_t);

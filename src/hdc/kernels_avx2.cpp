@@ -244,6 +244,36 @@ addSignedI8Avx2(std::int32_t *acc, const std::int32_t *row,
         acc[i] += row[i] * signs[i];
 }
 
+void
+addSignedI8I8Avx2(std::int32_t *acc, const std::int8_t *row,
+                  const std::int8_t *signs, std::size_t n)
+{
+    // 16 elements per step: sign-extend both int8 operands to int16,
+    // multiply exactly in int16 (|product| <= 128 * 128), then widen
+    // each half to eight int32 lanes and add into the accumulator.
+    std::size_t i = 0;
+    const std::size_t n16 = n & ~std::size_t{15};
+    for (; i < n16; i += 16) {
+        const __m256i r16 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(row + i)));
+        const __m256i s16 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(signs + i)));
+        const __m256i p16 = _mm256_mullo_epi16(r16, s16);
+        const __m256i lo = _mm256_cvtepi16_epi32(
+            _mm256_castsi256_si128(p16));
+        const __m256i hi = _mm256_cvtepi16_epi32(
+            _mm256_extracti128_si256(p16, 1));
+        __m256i *a0 = reinterpret_cast<__m256i *>(acc + i);
+        __m256i *a1 = reinterpret_cast<__m256i *>(acc + i + 8);
+        _mm256_storeu_si256(
+            a0, _mm256_add_epi32(_mm256_loadu_si256(a0), lo));
+        _mm256_storeu_si256(
+            a1, _mm256_add_epi32(_mm256_loadu_si256(a1), hi));
+    }
+    for (; i < n; ++i)
+        acc[i] += static_cast<std::int32_t>(row[i]) * signs[i];
+}
+
 std::size_t
 matchCountWordsAvx2(const std::uint64_t *a, const std::uint64_t *b,
                     std::size_t words, std::size_t dim)
@@ -327,6 +357,7 @@ constexpr detail::KernelTable kAvx2Table = {
     dotRealI8Avx2,
     mulIntRealAvx2,
     addSignedI8Avx2,
+    addSignedI8I8Avx2,
     matchCountWordsAvx2,
     similarityBatchAvx2,
     scoresBatchI8Avx2,

@@ -9,10 +9,10 @@
  * stays runnable anywhere (dispatch alone decides what executes).
  *
  * Scope: only the exact integer kernels (dotInt, dotIntI8, dotI8I8,
- * dotIntPackedWords, matchCountWords, scoresBatchI8) get 512-bit
- * bodies. The double kernels are copied verbatim from the AVX2 table
- * so there is exactly one float accumulation order per ISA family
- * and the 4-lane determinism contract stays single-sourced; as a
+ * dotIntPackedWords, addSignedI8I8, matchCountWords, scoresBatchI8)
+ * get 512-bit bodies. The double kernels are copied verbatim from the
+ * AVX2 table so there is exactly one float accumulation order per ISA
+ * family and the 4-lane determinism contract stays single-sourced; as a
  * consequence the AVX-512 table exists only when the AVX2 table does
  * (true on every AVX-512 CPU).
  *
@@ -161,6 +161,34 @@ dotIntPackedWordsAvx512(const std::int32_t *q,
     return sum;
 }
 
+LOOKHD_AVX512_TARGET void
+addSignedI8I8Avx512(std::int32_t *acc, const std::int8_t *row,
+                    const std::int8_t *signs, std::size_t n)
+{
+    // 32 elements per step: the AVX2 widening scheme at twice the
+    // width (int8 -> int16 exact product -> two int32 halves).
+    std::size_t i = 0;
+    const std::size_t n32 = n & ~std::size_t{31};
+    for (; i < n32; i += 32) {
+        const __m512i r16 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(row + i)));
+        const __m512i s16 = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(signs + i)));
+        const __m512i p16 = _mm512_mullo_epi16(r16, s16);
+        const __m512i lo =
+            _mm512_cvtepi16_epi32(_mm512_castsi512_si256(p16));
+        const __m512i hi =
+            _mm512_cvtepi16_epi32(_mm512_extracti64x4_epi64(p16, 1));
+        _mm512_storeu_si512(
+            acc + i, _mm512_add_epi32(_mm512_loadu_si512(acc + i), lo));
+        _mm512_storeu_si512(
+            acc + i + 16,
+            _mm512_add_epi32(_mm512_loadu_si512(acc + i + 16), hi));
+    }
+    for (; i < n; ++i)
+        acc[i] += static_cast<std::int32_t>(row[i]) * signs[i];
+}
+
 LOOKHD_AVX512_TARGET std::size_t
 matchCountWordsAvx512(const std::uint64_t *a, const std::uint64_t *b,
                       std::size_t words, std::size_t dim)
@@ -244,6 +272,7 @@ detail::avx512Table()
         t.dotIntI8 = dotIntI8Avx512;
         t.dotI8I8 = dotI8I8Avx512;
         t.dotIntPackedWords = dotIntPackedWordsAvx512;
+        t.addSignedI8I8 = addSignedI8I8Avx512;
         t.matchCountWords =
             __builtin_cpu_supports("avx512vpopcntdq") != 0
                 ? matchCountWordsVpopcnt

@@ -125,6 +125,33 @@ dotIntPackedWordsNeon(const std::int32_t *q,
     return sum;
 }
 
+void
+addSignedI8I8Neon(std::int32_t *acc, const std::int8_t *row,
+                  const std::int8_t *signs, std::size_t n)
+{
+    // 16 elements per step: vmull_s8 forms exact int16 products and
+    // vaddw_s16 widens them straight into the int32 accumulator.
+    std::size_t i = 0;
+    const std::size_t n16 = n & ~std::size_t{15};
+    for (; i < n16; i += 16) {
+        const int8x16_t rv = vld1q_s8(row + i);
+        const int8x16_t sv = vld1q_s8(signs + i);
+        const int16x8_t p0 = vmull_s8(vget_low_s8(rv), vget_low_s8(sv));
+        const int16x8_t p1 =
+            vmull_s8(vget_high_s8(rv), vget_high_s8(sv));
+        vst1q_s32(acc + i,
+                  vaddw_s16(vld1q_s32(acc + i), vget_low_s16(p0)));
+        vst1q_s32(acc + i + 4,
+                  vaddw_s16(vld1q_s32(acc + i + 4), vget_high_s16(p0)));
+        vst1q_s32(acc + i + 8,
+                  vaddw_s16(vld1q_s32(acc + i + 8), vget_low_s16(p1)));
+        vst1q_s32(acc + i + 12, vaddw_s16(vld1q_s32(acc + i + 12),
+                                          vget_high_s16(p1)));
+    }
+    for (; i < n; ++i)
+        acc[i] += static_cast<std::int32_t>(row[i]) * signs[i];
+}
+
 std::size_t
 matchCountWordsNeon(const std::uint64_t *a, const std::uint64_t *b,
                     std::size_t words, std::size_t dim)
@@ -177,6 +204,7 @@ detail::neonTable()
         t.dotIntI8 = dotIntI8Neon;
         t.dotI8I8 = dotI8I8Neon;
         t.dotIntPackedWords = dotIntPackedWordsNeon;
+        t.addSignedI8I8 = addSignedI8I8Neon;
         t.matchCountWords = matchCountWordsNeon;
         t.scoresBatchI8 = scoresBatchI8Neon;
         return &t;

@@ -198,29 +198,65 @@ Classifier::quantizedScores(const hdc::IntHv &query) const
                : quantized_->scoresBatchBinary(&q, 1);
 }
 
+namespace {
+
+/**
+ * Run fn(lo, hi) over [0, n): inline for one thread, else chunked
+ * over a pool. Per-row results never depend on the chunking (the
+ * batch kernels share the single-query accumulation order), so any
+ * thread count returns the same bits.
+ */
+template <class Fn>
+void
+forRows(std::size_t n, std::size_t threads, Fn &&fn)
+{
+    const std::size_t resolved = std::min(par::resolveThreads(threads),
+                                          std::max<std::size_t>(n, 1));
+    if (resolved <= 1) {
+        fn(0, n);
+    } else {
+        par::ThreadPool pool(resolved);
+        pool.parallelFor(0, n, fn);
+    }
+}
+
+} // namespace
+
 std::vector<std::vector<double>>
 Classifier::scoresBatch(std::span<const std::span<const double>> rows,
                         std::size_t threads) const
 {
-    LOOKHD_CHECK(fitted(), "classifier not fitted");
     LOOKHD_SPAN("classifier.predict.batch", "search");
-    LOOKHD_COUNT_ADD("classifier.predict.calls", rows.size());
-    const std::size_t n = rows.size();
+    return scoresEncoded(encodeRows(rows, threads), threads);
+}
+
+std::vector<hdc::IntHv>
+Classifier::encodeRows(std::span<const std::span<const double>> rows,
+                       std::size_t threads) const
+{
+    LOOKHD_CHECK(fitted(), "classifier not fitted");
+    std::vector<hdc::IntHv> encoded(rows.size());
+    forRows(rows.size(), threads, [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i)
+            encoded[i] = encoder_->encode(rows[i]);
+    });
+    return encoded;
+}
+
+std::vector<std::vector<double>>
+Classifier::scoresEncoded(std::span<const hdc::IntHv> encoded,
+                          std::size_t threads) const
+{
+    LOOKHD_CHECK(fitted(), "classifier not fitted");
+    LOOKHD_COUNT_ADD("classifier.predict.calls", encoded.size());
     const std::size_t k = compressed_ ? compressed_->numClasses()
                                       : model_->numClasses();
-    std::vector<hdc::IntHv> encoded(n);
-    std::vector<std::vector<double>> out(n);
-
-    // Each chunk encodes its rows and scores them in one batch kernel
-    // call. Per-row results never depend on the chunking (the batch
-    // kernels share the single-query accumulation order), so any
-    // thread count returns the bits predict()/scores() would.
-    const auto worker = [&](std::size_t lo, std::size_t hi) {
+    std::vector<std::vector<double>> out(encoded.size());
+    // Each chunk of queries is scored in one batch kernel call.
+    forRows(encoded.size(), threads, [&](std::size_t lo, std::size_t hi) {
         std::vector<const hdc::IntHv *> queries(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i) {
-            encoded[i] = encoder_->encode(rows[i]);
+        for (std::size_t i = lo; i < hi; ++i)
             queries[i - lo] = &encoded[i];
-        }
         const std::vector<double> flat =
             precision_ == Precision::kInt8
                 ? quantized_->scoresBatchI8(queries.data(),
@@ -240,17 +276,7 @@ Classifier::scoresBatch(std::span<const std::span<const double>> rows,
                                   (i - lo + 1) * k));
             LOOKHD_QUALITY_MARGIN("classifier.predict", out[i]);
         }
-    };
-
-    const std::size_t resolved =
-        std::min(par::resolveThreads(threads),
-                 std::max<std::size_t>(n, 1));
-    if (resolved <= 1) {
-        worker(0, n);
-    } else {
-        par::ThreadPool pool(resolved);
-        pool.parallelFor(0, n, worker);
-    }
+    });
     return out;
 }
 

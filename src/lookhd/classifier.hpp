@@ -137,14 +137,31 @@ class Classifier
     std::vector<double> scores(std::span<const double> features) const;
 
     /**
-     * Scores for a batch of feature rows through the batched
-     * encode + similarity kernels: out[i] == scores(rows[i]) bit for
-     * bit, for every @p threads (1 = inline, 0 = one per hardware
-     * thread). @pre fitted().
+     * Scores for a batch of feature rows: encodeRows() followed by
+     * scoresEncoded(). out[i] == scores(rows[i]) bit for bit, for
+     * every @p threads (1 = inline, 0 = one per hardware thread).
+     * @pre fitted().
      */
     std::vector<std::vector<double>>
     scoresBatch(std::span<const std::span<const double>> rows,
                 std::size_t threads = 1) const;
+
+    /**
+     * The encode half of scoresBatch(): out[i] ==
+     * encoder().encode(rows[i]), for every @p threads. @pre fitted().
+     */
+    std::vector<hdc::IntHv>
+    encodeRows(std::span<const std::span<const double>> rows,
+               std::size_t threads = 1) const;
+
+    /**
+     * The score half of scoresBatch(): per-class scores of encoded
+     * queries in the serving precision, through the batch similarity
+     * kernels, for every @p threads. @pre fitted().
+     */
+    std::vector<std::vector<double>>
+    scoresEncoded(std::span<const hdc::IntHv> encoded,
+                  std::size_t threads = 1) const;
 
     /**
      * Predicted classes for a batch of feature rows; identical labels

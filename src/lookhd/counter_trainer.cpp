@@ -237,17 +237,18 @@ CounterTrainer::finalize(const CounterBank &bank) const
     // touched from worker threads.
     std::vector<hdc::IntHv> classHvs(k, hdc::IntHv(encoder_.dim(), 0));
     const auto buildClasses = [&](std::size_t lo, std::size_t hi) {
-        hdc::IntHv scratch;
+        std::vector<std::int8_t> scratch;
+        hdc::IntHv chunk_acc(encoder_.dim());
         for (std::size_t cls = lo; cls < hi; ++cls) {
             hdc::IntHv &class_hv = classHvs[cls];
             for (std::size_t ch = 0; ch < m; ++ch) {
-                // Weighted accumulation:
+                // Weighted accumulation straight from the int8 rows:
                 // chunk_acc = sum count * Table[addr].
-                hdc::IntHv chunk_acc(encoder_.dim(), 0);
+                std::fill(chunk_acc.begin(), chunk_acc.end(), 0);
                 const ChunkLookupTable &table = encoder_.tableFor(ch);
                 bank.at(cls, ch).forEach(
                     [&](Address addr, std::uint32_t cnt) {
-                        const hdc::IntHv &row =
+                        const std::span<const std::int8_t> row =
                             table.row(addr, scratch);
                         const auto w = static_cast<std::int32_t>(cnt);
                         for (std::size_t d = 0; d < chunk_acc.size();

@@ -100,34 +100,75 @@ LookupEncoder::buildTables(const LookupEncoderConfig &config)
                      materializedBytes());
 }
 
+std::size_t
+LookupEncoder::levelOf(std::size_t feature, double value) const
+{
+    return bank_ ? bank_->level(feature, value) : quantizer_->level(value);
+}
+
+namespace {
+
+/**
+ * Saturation telemetry: how many values land in the edge levels
+ * (0 and q-1). Under linear quantization, out-of-range test values
+ * clamp to the edges; a high saturation fraction is the failure mode
+ * equalized quantization avoids (Fig. 3/4). Counted locally by the
+ * caller, then two atomic adds per row.
+ */
+void
+recordSaturation([[maybe_unused]] std::size_t values,
+                 [[maybe_unused]] std::size_t saturated)
+{
+#if LOOKHD_OBS_ENABLED
+    if (obs::enabled()) {
+        LOOKHD_COUNT_ADD("quant.level.values", values);
+        LOOKHD_COUNT_ADD("quant.level.saturated", saturated);
+    }
+#endif
+}
+
+} // namespace
+
+template <class Visit>
+void
+LookupEncoder::forEachAddress(std::span<const double> features,
+                              Visit &&visit) const
+{
+    LOOKHD_CHECK(features.size() == chunks_.numFeatures(),
+                 "feature vector width mismatch");
+    const std::size_t q = levels_->levels();
+    const std::size_t top = q - 1;
+    std::size_t saturated = 0;
+    for (std::size_t c = 0; c < chunks_.numChunks(); ++c) {
+        // addressOf's digit order (feature j of the chunk is base-q
+        // digit j), by Horner's rule from the most significant digit.
+        // addressSpace() proved q^length fits in 64 bits when the
+        // table was built, so no step can overflow.
+        const std::size_t first = chunks_.begin(c);
+        Address addr = 0;
+        for (std::size_t f = first + chunks_.length(c); f-- > first;) {
+            const std::size_t lvl = levelOf(f, features[f]);
+            saturated += (lvl == 0) | (lvl == top);
+            addr = addr * q + lvl;
+        }
+        visit(c, addr);
+    }
+    recordSaturation(features.size(), saturated);
+}
+
 std::vector<std::size_t>
 LookupEncoder::quantize(std::span<const double> features) const
 {
     LOOKHD_CHECK(features.size() == chunks_.numFeatures(),
                  "feature vector width mismatch");
-    std::vector<std::size_t> out;
-    if (bank_) {
-        out = bank_->levelsOf(features);
-    } else {
-        out.resize(features.size());
-        for (std::size_t i = 0; i < features.size(); ++i)
-            out[i] = quantizer_->level(features[i]);
+    const std::size_t top = levels_->levels() - 1;
+    std::vector<std::size_t> out(features.size());
+    std::size_t saturated = 0;
+    for (std::size_t f = 0; f < features.size(); ++f) {
+        out[f] = levelOf(f, features[f]);
+        saturated += (out[f] == 0) | (out[f] == top);
     }
-#if LOOKHD_OBS_ENABLED
-    // Saturation telemetry: how many values land in the edge levels
-    // (0 and q-1). Under linear quantization, out-of-range test
-    // values clamp to the edges; a high saturation fraction is the
-    // failure mode equalized quantization avoids (Fig. 3/4).
-    // Counted locally, then two atomic adds per call.
-    if (obs::enabled() && levels_->levels() >= 2) {
-        const std::size_t top = levels_->levels() - 1;
-        std::size_t saturated = 0;
-        for (const std::size_t lvl : out)
-            saturated += lvl == 0 || lvl == top;
-        LOOKHD_COUNT_ADD("quant.level.values", out.size());
-        LOOKHD_COUNT_ADD("quant.level.saturated", saturated);
-    }
-#endif
+    recordSaturation(out.size(), saturated);
     return out;
 }
 
@@ -148,22 +189,19 @@ LookupEncoder::quantizerBank() const
 std::vector<Address>
 LookupEncoder::chunkAddresses(std::span<const double> features) const
 {
-    return chunkAddressesOfLevels(quantize(features));
+    std::vector<Address> out(chunks_.numChunks());
+    forEachAddress(features,
+                   [&](std::size_t c, Address addr) { out[c] = addr; });
+    return out;
 }
 
-std::vector<Address>
-LookupEncoder::chunkAddressesOfLevels(
-    std::span<const std::size_t> levels) const
+void
+LookupEncoder::accumulate(std::size_t c, Address addr, std::int32_t *acc,
+                          std::vector<std::int8_t> &scratch) const
 {
-    LOOKHD_CHECK(levels.size() == chunks_.numFeatures(),
-                 "level vector width mismatch");
-    std::vector<Address> out(chunks_.numChunks());
-    for (std::size_t c = 0; c < chunks_.numChunks(); ++c) {
-        out[c] = addressOf(
-            levels.subspan(chunks_.begin(c), chunks_.length(c)),
-            levels_->levels());
-    }
-    return out;
+    const std::span<const std::int8_t> row = tableFor(c).row(addr, scratch);
+    hdc::kernels::addSignedI8I8(acc, row.data(), positions_.at(c).data(),
+                                row.size());
 }
 
 hdc::IntHv
@@ -171,8 +209,12 @@ LookupEncoder::encode(std::span<const double> features) const
 {
     LOOKHD_SPAN("lookhd.encode", "encode");
     LOOKHD_COUNT_ADD("lookhd.encode.calls", 1);
-    const auto addresses = chunkAddresses(features);
-    return encodeFromAddresses(addresses);
+    hdc::IntHv acc(dim(), 0);
+    std::vector<std::int8_t> scratch;
+    forEachAddress(features, [&](std::size_t c, Address addr) {
+        accumulate(c, addr, acc.data(), scratch);
+    });
+    return acc;
 }
 
 hdc::IntHv
@@ -182,15 +224,9 @@ LookupEncoder::encodeFromAddresses(
     LOOKHD_CHECK(addresses.size() == chunks_.numChunks(),
                  "address count mismatch");
     hdc::IntHv acc(dim(), 0);
-    hdc::IntHv scratch;
-    for (std::size_t c = 0; c < addresses.size(); ++c) {
-        const hdc::IntHv &chunk_hv =
-            tableFor(c).row(addresses[c], scratch);
-        const hdc::BipolarHv &key = positions_.at(c);
-        // acc += P_c * chunk_hv, fused to avoid a temporary.
-        hdc::kernels::addSignedI8(acc.data(), chunk_hv.data(),
-                                  key.data(), acc.size());
-    }
+    std::vector<std::int8_t> scratch;
+    for (std::size_t c = 0; c < addresses.size(); ++c)
+        accumulate(c, addresses[c], acc.data(), scratch);
     return acc;
 }
 

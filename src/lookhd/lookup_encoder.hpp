@@ -5,8 +5,9 @@
  * Pipeline per data point:
  *   1. quantize each feature to a level (codebook),
  *   2. concatenate each chunk's codebooks into a direct address,
- *   3. fetch the pre-stored encoded chunk hypervector,
- *   4. bind each chunk hypervector with its position key P_i and sum.
+ *   3. fetch the pre-stored encoded chunk hypervector (an int8 row),
+ *   4. bind each chunk hypervector with its position key P_i and sum
+ *      into an int32 accumulator (widening kernel).
  *
  * The result is bit-exact with encoding each chunk through Eq. 2
  * directly - the lookup is pure computation reuse.
@@ -89,11 +90,11 @@ class LookupEncoder
     std::vector<Address>
     chunkAddresses(std::span<const double> features) const;
 
-    /** Per-chunk addresses of pre-quantized levels. */
-    std::vector<Address>
-    chunkAddressesOfLevels(std::span<const std::size_t> levels) const;
-
-    /** Full LookHD encoding (Eq. 3) of a raw feature vector. */
+    /**
+     * Full LookHD encoding (Eq. 3) of a raw feature vector: quantize,
+     * address and accumulate in one pass over the features, with no
+     * intermediate level or address vector.
+     */
     hdc::IntHv encode(std::span<const double> features) const;
 
     /** Eq. 3 aggregation from per-chunk addresses. */
@@ -123,6 +124,24 @@ class LookupEncoder
   private:
     /** Shared tail of both constructors. */
     void buildTables(const LookupEncoderConfig &config);
+
+    /** Quantized level of @p value as feature @p feature. */
+    std::size_t levelOf(std::size_t feature, double value) const;
+
+    /**
+     * The shared quantize -> address step: calls visit(c, address)
+     * for every chunk c in order.
+     */
+    template <class Visit>
+    void forEachAddress(std::span<const double> features,
+                        Visit &&visit) const;
+
+    /**
+     * acc += P_c * Table_c[addr]: the widening int8 accumulate of
+     * one chunk row. @p scratch backs rows of over-budget tables.
+     */
+    void accumulate(std::size_t c, Address addr, std::int32_t *acc,
+                    std::vector<std::int8_t> &scratch) const;
 
     std::shared_ptr<const hdc::LevelMemory> levels_;
     std::shared_ptr<const quant::Quantizer> quantizer_;

@@ -73,7 +73,7 @@ inline constexpr bool kProfilerCompiled =
 /** Stage byte meaning "not in any request stage". */
 inline constexpr std::uint8_t kProfileStageNone = 0xff;
 
-/** Stage buckets: the six ReqStages plus "none". */
+/** Stage buckets: the seven ReqStages plus "none". */
 inline constexpr std::size_t kProfileStageSlots = kReqStageCount + 1;
 
 /** Default sampling rate; prime to avoid lockstep with periodic

@@ -144,6 +144,8 @@ reqStageName(ReqStage stage)
         return "queue";
     case ReqStage::kBatchForm:
         return "batch_form";
+    case ReqStage::kEncode:
+        return "encode";
     case ReqStage::kScore:
         return "score";
     case ReqStage::kSerialize:

@@ -110,7 +110,10 @@ bool parseTraceIdHex(std::string_view hex, TraceId &out);
  *   parse       request line -> validated Request
  *   queue       enqueue -> popped by a worker
  *   batch_form  pop -> batch dispatched (gather wait)
- *   score       the batched kernel pass (shared by the batch)
+ *   encode      lookup encoding of the batch's rows (shared by the
+ *               batch)
+ *   score       the batched similarity kernel pass (shared by the
+ *               batch)
  *   serialize   response JSON build
  *   write       response socket write
  */
@@ -119,12 +122,13 @@ enum class ReqStage : std::uint8_t
     kParse = 0,
     kQueue,
     kBatchForm,
+    kEncode,
     kScore,
     kSerialize,
     kWrite,
 };
 
-inline constexpr std::size_t kReqStageCount = 6;
+inline constexpr std::size_t kReqStageCount = 7;
 
 /** Lower-case stage name ("parse", "queue", ...). */
 const char *reqStageName(ReqStage stage);

@@ -10,9 +10,14 @@ namespace lookhd::quant {
 std::size_t
 binOf(const std::vector<double> &bounds, double value)
 {
-    return static_cast<std::size_t>(
-        std::upper_bound(bounds.begin(), bounds.end(), value) -
-        bounds.begin());
+    // Over ascending bounds "value < b" is false then true, so the
+    // count of false compares is std::upper_bound's index; NaN
+    // compares false everywhere and lands past the last bound, as
+    // upper_bound does. No data-dependent branch.
+    std::size_t n = 0;
+    for (const double b : bounds)
+        n += !(value < b);
+    return n;
 }
 
 std::vector<std::size_t>

@@ -61,8 +61,11 @@ class Quantizer
 };
 
 /**
- * Shared binary search over sorted boundaries: number of boundaries
- * strictly below or equal, i.e. the bin index of @p value.
+ * Bin index of @p value over ascending boundaries: the number of
+ * boundaries b with !(value < b), computed as a branch-free
+ * compare-count. Equal to std::upper_bound's index for every double,
+ * including NaN (past the last bound), +-inf and values equal to a
+ * boundary (which fall into the upper bin).
  */
 std::size_t binOf(const std::vector<double> &bounds, double value);
 

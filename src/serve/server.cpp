@@ -633,20 +633,26 @@ InferenceServer::processBatch(std::vector<Request> &batch,
         quantizedRequests_.add(
             static_cast<std::uint64_t>(batch.size()));
 
-    // One batched kernel pass over the whole batch; bit-identical to
-    // per-request classifier_.scores() (see Classifier::scoresBatch).
+    // Encode, then one batched kernel pass over the whole batch: the
+    // two halves of Classifier::scoresBatch, stamped separately and
+    // bit-identical to per-request classifier_.scores().
     std::vector<std::span<const double>> rows;
     rows.reserve(batch.size());
     for (const Request &req : batch)
         rows.emplace_back(req.fields.features);
     std::vector<std::vector<double>> batchScores;
-    const std::uint64_t scoreStartNs =
+    const std::uint64_t encodeStartNs =
         util::Timer::processNanoseconds();
-    obs::profilerPublishStage(obs::ReqStage::kScore);
+    std::uint64_t scoreStartNs = 0;
     {
         LOOKHD_SPAN("serve.predict", "serve");
+        obs::profilerPublishStage(obs::ReqStage::kEncode);
+        const std::vector<hdc::IntHv> encoded =
+            classifier_.encodeRows(rows, config_.predictThreads);
+        scoreStartNs = util::Timer::processNanoseconds();
+        obs::profilerPublishStage(obs::ReqStage::kScore);
         batchScores =
-            classifier_.scoresBatch(rows, config_.predictThreads);
+            classifier_.scoresEncoded(encoded, config_.predictThreads);
         // Load-testing aid: inflate the scoring stage so overload
         // and latency-SLO scenarios reproduce deterministically.
         if (config_.scoreDelayNs > 0)
@@ -665,6 +671,8 @@ InferenceServer::processBatch(std::vector<Request> &batch,
         const std::vector<double> &scores = batchScores[i];
         const std::size_t pred = hdc::argmax(scores);
         LOOKHD_QUALITY_MARGIN("serve.predict", scores);
+        req.ctx.setStage(obs::ReqStage::kEncode,
+                         scoreStartNs - encodeStartNs);
         req.ctx.setStage(obs::ReqStage::kScore,
                          scoreEndNs - scoreStartNs);
 

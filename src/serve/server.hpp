@@ -53,7 +53,8 @@
  * Request tracing: every request carries an obs::RequestContext
  * (128-bit trace id from the request's `trace` field or generated
  * server-side, echoed in the response) and stamps one duration per
- * pipeline stage (parse/queue/batch_form/score/serialize/write).
+ * pipeline stage (parse/queue/batch_form/encode/score/serialize/
+ * write).
  * Stage durations feed per-stage histograms, exemplars on the
  * request-latency histogram, and the SlowRequestLog. Under
  * -DLOOKHD_OBS=OFF id generation and capture compile out; echo of a

@@ -101,9 +101,11 @@ TEST(Codebook, AddressSpaceOverflowThrows)
 
 TEST(Codebook, TableFitsRespectsBudget)
 {
-    // q=4, r=5, D=2000: 1024 rows x 8000 B = 8 MB.
-    EXPECT_TRUE(tableFits(4, 5, 2000, std::size_t{16} << 20));
-    EXPECT_FALSE(tableFits(4, 5, 2000, std::size_t{4} << 20));
+    // q=4, r=5, D=2000: 1024 int8 rows x 2000 B = 2,048,000 B.
+    EXPECT_TRUE(tableFits(4, 5, 2000, std::size_t{4} << 20));
+    EXPECT_TRUE(tableFits(4, 5, 2000, 2048000));
+    EXPECT_FALSE(tableFits(4, 5, 2000, 2047999));
+    EXPECT_FALSE(tableFits(4, 5, 2000, std::size_t{1} << 20));
     // Astronomical spaces must return false, not overflow.
     EXPECT_FALSE(tableFits(16, 617, 2000, ~std::size_t{0}));
 }

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -298,6 +299,88 @@ TEST(Kernels, ElementwiseKernelsMatchReferenceEveryImpl)
                 EXPECT_EQ(acc, refAcc)
                     << kernels::implName(impl) << " n=" << n
                     << " offset=" << offset;
+            }
+        }
+    }
+}
+
+TEST(Kernels, WideningAccumulateMatchesReferenceEveryImpl)
+{
+    // acc[i] += int32(row[i]) * signs[i] over int8 rows: the lookup
+    // encoder's accumulate. Lengths cover n < 16, odd n, and the
+    // 16/32-wide SIMD blocks with ragged tails; each buffer gets its
+    // own misalignment. Rows use the table range [-64, 64] and the
+    // full int8 range (including -128 * -128); signs are bipolar or
+    // arbitrary int8.
+    Rng rng(606);
+    std::vector<std::size_t> dims(std::begin(kDims), std::end(kDims));
+    for (const std::size_t n : {9u, 17u, 33u, 47u, 95u, 2000u, 2001u})
+        dims.push_back(n);
+    for (const std::size_t n : dims) {
+        for (std::size_t offset = 0; offset < 5; ++offset) {
+            for (const bool fullRange : {false, true}) {
+                const std::size_t rowOff = offset;
+                const std::size_t signOff = (offset * 3) % 7;
+                const std::size_t accOff = (offset * 5) % 3;
+                std::vector<std::int8_t> row(n + rowOff);
+                std::vector<std::int8_t> signs(n + signOff);
+                std::vector<std::int32_t> start(n + accOff);
+                for (auto &v : row)
+                    v = fullRange ? static_cast<std::int8_t>(
+                                        static_cast<int>(
+                                            rng.nextBelow(256)) -
+                                        128)
+                                  : static_cast<std::int8_t>(
+                                        static_cast<int>(
+                                            rng.nextBelow(129)) -
+                                        64);
+                for (auto &v : signs)
+                    v = fullRange ? static_cast<std::int8_t>(
+                                        static_cast<int>(
+                                            rng.nextBelow(256)) -
+                                        128)
+                                  : (rng.nextBelow(2) == 0 ? -1 : 1);
+                for (auto &v : start)
+                    v = static_cast<std::int32_t>(
+                            rng.nextBelow(2000001)) -
+                        1000000;
+                if (fullRange && n >= 2) {
+                    row[rowOff] = -128;
+                    signs[signOff] = -128;
+                    row[rowOff + n - 1] = 127;
+                    signs[signOff + n - 1] = -128;
+                }
+                std::vector<std::int32_t> ref(start.begin() +
+                                                  static_cast<
+                                                      std::ptrdiff_t>(
+                                                      accOff),
+                                              start.end());
+                for (std::size_t i = 0; i < n; ++i)
+                    ref[i] += static_cast<std::int32_t>(
+                                  row[rowOff + i]) *
+                              signs[signOff + i];
+                for (const kernels::Impl impl : availableImpls()) {
+                    ForcedImpl forced(impl);
+                    std::vector<std::int32_t> acc = start;
+                    kernels::addSignedI8I8(acc.data() + accOff,
+                                           row.data() + rowOff,
+                                           signs.data() + signOff, n);
+                    EXPECT_TRUE(std::equal(
+                        ref.begin(), ref.end(),
+                        acc.begin() +
+                            static_cast<std::ptrdiff_t>(accOff)))
+                        << kernels::implName(impl) << " n=" << n
+                        << " offset=" << offset
+                        << " fullRange=" << fullRange;
+                    // Elements before the accumulator window are
+                    // untouched.
+                    EXPECT_TRUE(std::equal(
+                        start.begin(),
+                        start.begin() +
+                            static_cast<std::ptrdiff_t>(accOff),
+                        acc.begin()))
+                        << kernels::implName(impl) << " n=" << n;
+                }
             }
         }
     }

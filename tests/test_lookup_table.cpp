@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <vector>
 
 #include "hdc/similarity.hpp"
 #include "lookhd/lookup_table.hpp"
@@ -35,10 +39,12 @@ TEST(ChunkLookupTable, AddressSpaceSize)
 TEST(ChunkLookupTable, MaterializesWithinBudget)
 {
     auto levels = makeLevels(128, 2);
-    // 32 rows x 128 dims x 4 B = 16 KiB.
+    // 32 rows x 128 dims x 1 B (int8 elements) = 4 KiB.
     ChunkLookupTable table(levels, 5, 32 * 1024);
     EXPECT_TRUE(table.materialized());
-    EXPECT_EQ(table.tableBytes(), 32u * 128u * 4u);
+    EXPECT_EQ(table.tableBytes(), 32u * 128u * 1u);
+    EXPECT_TRUE(ChunkLookupTable(levels, 5, 4096).materialized());
+    EXPECT_FALSE(ChunkLookupTable(levels, 5, 4095).materialized());
 }
 
 TEST(ChunkLookupTable, FallsBackBeyondBudget)
@@ -65,12 +71,45 @@ TEST(ChunkLookupTable, MaterializedAndOnTheFlyRowsIdentical)
     ASSERT_TRUE(dense.materialized());
     ASSERT_FALSE(lazy.materialized());
 
-    IntHv scratch;
+    std::vector<std::int8_t> scratch;
+    std::vector<std::int8_t> scratch2;
     for (Address a = 0; a < dense.addressSpaceSize(); ++a) {
-        const IntHv &d = dense.row(a, scratch);
-        IntHv scratch2;
-        const IntHv &l = lazy.row(a, scratch2);
-        EXPECT_EQ(d, l) << "address " << a;
+        const auto d = dense.row(a, scratch);
+        const auto l = lazy.row(a, scratch2);
+        EXPECT_TRUE(std::equal(d.begin(), d.end(), l.begin(), l.end()))
+            << "address " << a;
+    }
+}
+
+TEST(ChunkLookupTable, EveryMaterializedElementIsItsInt32EquationTwo)
+{
+    // The int8 slab must hold exactly the int32 Eq. 2 encoding of
+    // every address, and every element must lie in [-s, s]. A short
+    // tail chunk (s = 2) and a long one (s = 7) cover both table
+    // shapes an encoder builds.
+    for (const std::size_t s : {std::size_t{2}, std::size_t{7}}) {
+        auto levels = makeLevels(97, 3, 13);
+        ChunkLookupTable table(levels, s, std::size_t{64} << 20);
+        ASSERT_TRUE(table.materialized());
+        std::vector<std::int8_t> scratch;
+        std::vector<std::size_t> lvls(s);
+        const auto bound = static_cast<std::int32_t>(s);
+        for (Address a = 0; a < table.addressSpaceSize(); ++a) {
+            decodeAddress(a, 3, lvls);
+            IntHv manual(97, 0);
+            for (std::size_t j = 0; j < s; ++j)
+                addRotated(manual, levels->at(lvls[j]), j);
+            const auto row = table.row(a, scratch);
+            ASSERT_EQ(row.size(), manual.size());
+            ASSERT_TRUE(row.data() != scratch.data())
+                << "materialized rows are views into the slab";
+            for (std::size_t i = 0; i < row.size(); ++i) {
+                ASSERT_EQ(static_cast<std::int32_t>(row[i]), manual[i])
+                    << "s " << s << " address " << a << " element "
+                    << i;
+                ASSERT_LE(std::abs(manual[i]), bound);
+            }
+        }
     }
 }
 
@@ -86,17 +125,18 @@ TEST(ChunkLookupTable, RowMatchesManualEquationTwo)
     for (std::size_t j = 0; j < 3; ++j)
         addRotated(manual, levels->at(lvls[j]), j);
 
-    IntHv scratch;
-    EXPECT_EQ(table.row(addr, scratch), manual);
+    std::vector<std::int8_t> scratch;
+    const auto row = table.row(addr, scratch);
+    EXPECT_EQ(IntHv(row.begin(), row.end()), manual);
 }
 
 TEST(ChunkLookupTable, RowElementsBoundedByChunkLen)
 {
     auto levels = makeLevels(64, 2, 11);
     ChunkLookupTable table(levels, 6, std::size_t{1} << 20);
-    IntHv scratch;
+    std::vector<std::int8_t> scratch;
     for (Address a = 0; a < table.addressSpaceSize(); ++a) {
-        for (auto v : table.row(a, scratch))
+        for (const std::int8_t v : table.row(a, scratch))
             EXPECT_LE(std::abs(v), 6);
     }
 }
@@ -105,8 +145,13 @@ TEST(ChunkLookupTable, OutOfRangeAddressThrows)
 {
     auto levels = makeLevels(64, 2);
     ChunkLookupTable table(levels, 3, std::size_t{1} << 20);
-    IntHv scratch;
+    std::vector<std::int8_t> scratch;
     EXPECT_THROW(table.row(8, scratch), util::ContractViolation);
+    ChunkLookupTable lazy(levels, 3, 0);
+    EXPECT_THROW(lazy.row(8, scratch), util::ContractViolation);
+    std::vector<std::int8_t> shortRow(63);
+    EXPECT_THROW(lazy.encodeAddress(0, shortRow),
+                 util::ContractViolation);
 }
 
 TEST(ChunkLookupTable, Validation)

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "quant/equalized_quantizer.hpp"
 #include "quant/linear_quantizer.hpp"
@@ -163,6 +165,54 @@ TEST(Quantizer, LevelsOfVector)
     q.fit({0.0, 1.0});
     const auto lvls = q.levelsOf({0.1, 0.9, 0.4});
     EXPECT_EQ(lvls, (std::vector<std::size_t>{0, 1, 0}));
+}
+
+TEST(Quantizer, BinOfMatchesUpperBoundOnEveryEdgeCase)
+{
+    // binOf is a branch-free compare-count; it must agree with
+    // std::upper_bound for every double, including the values a
+    // binary search treats specially.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double tiny = std::numeric_limits<double>::denorm_min();
+    const std::vector<std::vector<double>> boundSets = {
+        {0.0},
+        {-1.0, 0.0, 1.0},
+        {-0.0, 0.0},                 // signed zeros compare equal
+        {1.0, 1.0, 1.0},             // fully collapsed bins
+        {-2.0, 0.5, 0.5, 0.5, 3.0},  // duplicate bounds mid-range
+        {-inf, 0.0, inf},            // infinite bounds
+        {-inf, -inf, inf, inf},
+        {tiny, 2.0 * tiny},
+    };
+    std::vector<double> probes = {
+        -inf, inf, nan, -nan, 0.0, -0.0, tiny, -tiny, 2.0 * tiny,
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::max(), -3.0, 3.5};
+    for (const auto &bounds : boundSets) {
+        for (const double b : bounds) {
+            probes.push_back(b);
+            probes.push_back(std::nextafter(b, -inf));
+            probes.push_back(std::nextafter(b, inf));
+        }
+    }
+    for (const auto &bounds : boundSets) {
+        for (const double v : probes) {
+            const auto expected = static_cast<std::size_t>(
+                std::upper_bound(bounds.begin(), bounds.end(), v) -
+                bounds.begin());
+            EXPECT_EQ(binOf(bounds, v), expected)
+                << "value " << v << " over " << bounds.size()
+                << " bounds starting at " << bounds.front();
+        }
+    }
+    // Spot values: a value equal to a bound falls into the upper bin,
+    // NaN lands past the last bound, and an empty bound set is bin 0.
+    EXPECT_EQ(binOf({-1.0, 0.0, 1.0}, 0.0), 2u);
+    EXPECT_EQ(binOf({-1.0, 0.0, 1.0}, -0.0), 2u);
+    EXPECT_EQ(binOf({-1.0, 0.0, 1.0}, nan), 3u);
+    EXPECT_EQ(binOf({1.0, 1.0, 1.0}, 1.0), 3u);
+    EXPECT_EQ(binOf({}, 5.0), 0u);
 }
 
 /** Parameterized sweep over q for both quantizer kinds. */

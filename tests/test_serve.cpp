@@ -606,6 +606,7 @@ TEST(ServeDebug, DebugEndpointsExposeCapturedRequests)
         EXPECT_NE(body.find("\"reason\":\"sampled\""),
                   std::string::npos);
         EXPECT_NE(body.find("\"stages\""), std::string::npos);
+        EXPECT_NE(body.find("\"encode\":"), std::string::npos);
     } else {
         EXPECT_EQ(debugDoc->find("captured_total")->number, 0.0);
     }
