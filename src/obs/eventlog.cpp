@@ -92,7 +92,9 @@ struct EventLog::Ring
     std::size_t head LOOKHD_GUARDED_BY(mutex) = 0;
     std::size_t size LOOKHD_GUARDED_BY(mutex) = 0;
     std::uint64_t droppedSinceFlush LOOKHD_GUARDED_BY(mutex) = 0;
-    /** Written once at registration, immutable after. */
+    /** Owner's thread id, set when a thread takes the ring (under
+     * the mutex once the ring is published); the owner reads it
+     * without. */
     std::uint64_t threadId = 0;
     /** List link; written before publication, immutable after. */
     Ring *nextRing = nullptr;
@@ -110,6 +112,34 @@ struct EventLog::Ring
     }
 };
 
+struct EventLog::IdleRings
+{
+    util::Mutex mutex;
+    std::vector<Ring *> rings LOOKHD_GUARDED_BY(mutex);
+};
+
+/** One thread's ring per log; handed back to each log's idle list
+ * when the thread exits. */
+struct EventLog::ThreadRings
+{
+    struct Held
+    {
+        Ring *ring = nullptr;
+        std::shared_ptr<IdleRings> idle;
+    };
+    /** Keyed by the log's process-unique id_, so a destroyed log's
+     * entry is merely stale, never a dangling lookup hit. */
+    std::unordered_map<std::uint64_t, Held> byLog;
+
+    ~ThreadRings()
+    {
+        for (auto &[id, held] : byLog) {
+            const util::MutexLock lock(held.idle->mutex);
+            held.idle->rings.push_back(held.ring);
+        }
+    }
+};
+
 namespace {
 
 std::uint64_t
@@ -123,7 +153,8 @@ nextLogId()
 
 EventLog::EventLog(std::size_t ringCapacity)
     : id_(nextLogId()),
-      ringCapacity_(ringCapacity == 0 ? 1 : ringCapacity)
+      ringCapacity_(ringCapacity == 0 ? 1 : ringCapacity),
+      idle_(std::make_shared<IdleRings>())
 {
 }
 
@@ -164,25 +195,38 @@ EventLog::minLevel() const
 EventLog::Ring &
 EventLog::ringForThisThread()
 {
-    // One ring per (log instance, thread). The thread_local cache
-    // makes the steady-state lookup a hash hit; rings themselves are
-    // owned by the log so flush() can reach all of them. Keyed by
-    // the process-unique id_ so a destroyed instance's entry is
-    // merely stale, never a dangling lookup hit.
-    thread_local std::unordered_map<std::uint64_t, Ring *> cache;
-    const auto it = cache.find(id_);
-    if (it != cache.end())
-        return *it->second;
-    auto *ring = new Ring(ringCapacity_);
-    ring->threadId = thisThreadId();
+    // One ring per (log instance, live thread). The thread_local
+    // cache makes the steady-state lookup a hash hit; rings
+    // themselves are owned by the log so flush() can reach all of
+    // them, and are never freed before it, so the lock-free crash
+    // traversal stays valid when a ring changes owner.
+    thread_local ThreadRings cache;
+    const auto it = cache.byLog.find(id_);
+    if (it != cache.byLog.end())
+        return *it->second.ring;
+    Ring *ring = nullptr;
     {
+        const util::MutexLock lock(idle_->mutex);
+        if (!idle_->rings.empty()) {
+            ring = idle_->rings.back();
+            idle_->rings.pop_back();
+        }
+    }
+    if (ring != nullptr) {
+        // An exited thread's ring; its unflushed events keep their
+        // own thread ids.
+        const util::MutexLock lock(ring->mutex);
+        ring->threadId = thisThreadId();
+    } else {
+        ring = new Ring(ringCapacity_);
+        ring->threadId = thisThreadId();
         const util::MutexLock lock(ringsMutex_);
         ring->nextRing = ringsHead_.load(std::memory_order_relaxed);
         // Release-publish so the lock-free crash traversal sees a
         // fully constructed ring behind the new head.
         ringsHead_.store(ring, std::memory_order_release);
     }
-    cache[id_] = ring;
+    cache.byLog[id_] = {ring, idle_};
     return *ring;
 }
 

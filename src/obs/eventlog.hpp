@@ -9,7 +9,10 @@
  * the steady-state append path beyond the field strings), so a
  * stalled or crashed consumer can never back-pressure the serving
  * path - the ring overflows instead, dropping the oldest events and
- * counting the drops.
+ * counting the drops. A thread that exits hands its ring, with any
+ * unflushed events, to the next thread that starts emitting, so
+ * ring memory is bounded by the peak number of live emitting
+ * threads, not by how many threads ever emitted.
  *
  * flush() drains every ring into a JSON-lines stream, one object per
  * event, globally ordered by the monotonic timestamp:
@@ -36,6 +39,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -138,6 +142,8 @@ class EventLog
 
   private:
     struct Ring;
+    struct IdleRings;
+    struct ThreadRings;
 
     Ring &ringForThisThread();
 
@@ -157,6 +163,10 @@ class EventLog
     /** Lock-free singly-linked ring list head; rings live until the
      * log is destroyed (the global log never is). */
     std::atomic<Ring *> ringsHead_{nullptr};
+    /** Rings of exited threads, awaiting a new owner. Shared with
+     * the threads' ring caches, so a thread that outlives the log
+     * can still hand its ring back (never to be read again). */
+    const std::shared_ptr<IdleRings> idle_;
 };
 
 } // namespace lookhd::obs

@@ -79,6 +79,9 @@ class Gauge
   public:
     void set(double v) { value_.store(v, std::memory_order_relaxed); }
 
+    /** Atomic increment (negative @p d decrements). */
+    void add(double d) { value_.fetch_add(d, std::memory_order_relaxed); }
+
     double
     value() const
     {

@@ -79,6 +79,9 @@ struct InferenceServer::Connection
     TcpStream stream;
     util::Mutex writeMutex;
     std::atomic<bool> open{true};
+    /** Set by the reader thread as its last step; the accept loop
+     * then joins the reader and drops the slot. */
+    std::atomic<bool> readerDone{false};
 
     /** Send one response line (one send for body and newline);
      * false once the peer went away. */
@@ -103,8 +106,6 @@ struct InferenceServer::Request
     /** What the request line carried: id, scores flag, features. */
     RequestFields fields;
     std::uint64_t enqueueNs = 0;
-    /** processNanoseconds() when a worker popped this request. */
-    std::uint64_t popNs = 0;
     obs::RequestContext ctx;
 };
 
@@ -235,9 +236,7 @@ InferenceServer::InferenceServer(Classifier classifier,
       healthReady_(obs::MetricRegistry::global().gauge(
           "serve.health.ready")),
       requestLatency_(obs::MetricRegistry::global().latency(
-          "serve.request.latency")),
-      batchGatherLatency_(obs::MetricRegistry::global().latency(
-          "serve.batch.gather"))
+          "serve.request.latency"))
 {
     if (!classifier_.fitted())
         throw std::invalid_argument(
@@ -350,21 +349,21 @@ InferenceServer::stop()
         acceptThread_.join();
     requestListener_.close();
 
-    // 2. EOF every reader (write side stays up so queued responses
-    //    still go out), then join them: no further enqueues. The
-    //    thread vector is swapped out under the mutex and joined
-    //    outside it - the accept loop is already down, and joining
-    //    under a lock the readers could touch would deadlock.
-    std::vector<std::thread> readers;
+    // 2. EOF every reader, then join them: no further enqueues. A
+    //    reader marks its connection closed when it sees EOF, so
+    //    what is still queued for it is scored but not sent. The
+    //    slots are swapped out under the mutex and joined outside
+    //    it - the accept loop is already down, and joining under a
+    //    lock the readers could touch would deadlock.
+    std::vector<ConnectionSlot> slots;
     {
         const util::MutexLock lock(connectionsMutex_);
-        for (const auto &conn : connections_)
-            conn->stream.shutdownRead();
-        readers.swap(connectionThreads_);
+        slots.swap(connections_);
     }
-    for (std::thread &t : readers)
-        if (t.joinable())
-            t.join();
+    for (ConnectionSlot &slot : slots)
+        slot.conn->stream.shutdownRead();
+    for (ConnectionSlot &slot : slots)
+        slot.reader.join();
 
     // 3. Let the workers drain whatever is left, then exit.
     stopWorkers_.store(true, std::memory_order_release);
@@ -381,15 +380,9 @@ InferenceServer::stop()
     if (samplerThread_.joinable())
         samplerThread_.join();
 
-    {
-        const util::MutexLock lock(connectionsMutex_);
-        for (const auto &conn : connections_) {
-            conn->open.store(false, std::memory_order_relaxed);
-            conn->stream.close();
-        }
-        connections_.clear();
-        connectionsOpen_.set(0.0);
-    }
+    // The queue is drained, so these are the last references: the
+    // sockets close here.
+    slots.clear();
     workerThreads_.clear();
 
     obs::EventLog::global().emit(
@@ -412,6 +405,7 @@ void
 InferenceServer::acceptLoop()
 {
     while (running_.load(std::memory_order_acquire)) {
+        reapFinishedReaders();
         TcpStream stream;
         try {
             stream = requestListener_.accept(100);
@@ -422,17 +416,34 @@ InferenceServer::acceptLoop()
             continue;
         connectionsTotal_.add();
         auto conn = std::make_shared<Connection>(std::move(stream));
+        connectionsOpen_.add(1.0);
         const util::MutexLock lock(connectionsMutex_);
-        connections_.push_back(conn);
-        // Reader threads are reaped in stop(); connection turnover
-        // at serve-smoke scale does not warrant a reaper thread yet.
-        connectionThreads_.emplace_back(
-            [this, conn] { connectionLoop(conn); });
-        connectionsOpen_.set(static_cast<double>(
-            openConnections_.fetch_add(1,
-                                       std::memory_order_relaxed) +
-            1));
+        connections_.push_back(
+            {conn, std::thread([this, conn] { connectionLoop(conn); })});
     }
+}
+
+void
+InferenceServer::reapFinishedReaders()
+{
+    // Finished slots are moved out under the mutex and joined
+    // outside it. A queued Request still holds its connection, so
+    // the socket closes once the last request queued for it is done.
+    std::vector<ConnectionSlot> finished;
+    {
+        const util::MutexLock lock(connectionsMutex_);
+        const auto done = std::partition(
+            connections_.begin(), connections_.end(),
+            [](const ConnectionSlot &slot) {
+                return !slot.conn->readerDone.load(
+                    std::memory_order_acquire);
+            });
+        finished.assign(std::make_move_iterator(done),
+                        std::make_move_iterator(connections_.end()));
+        connections_.erase(done, connections_.end());
+    }
+    for (ConnectionSlot &slot : finished)
+        slot.reader.join();
 }
 
 void
@@ -456,11 +467,10 @@ InferenceServer::connectionLoop(std::shared_ptr<Connection> conn)
         // Peer vanished mid-read; nothing to answer.
     }
     conn->open.store(false, std::memory_order_relaxed);
-    connectionsOpen_.set(static_cast<double>(
-        openConnections_.fetch_sub(1, std::memory_order_relaxed) -
-        1));
+    connectionsOpen_.add(-1.0);
     obs::EventLog::global().emit(obs::LogLevel::kDebug,
                                  "serve.conn.close");
+    conn->readerDone.store(true, std::memory_order_release);
 }
 
 void
@@ -543,6 +553,7 @@ InferenceServer::workerLoop(std::size_t workerIndex)
     WorkerState &state = *workerStates_[workerIndex];
     while (true) {
         std::vector<Request> batch;
+        std::uint64_t popNs = 0;
         obs::profilerPublishStage(obs::ReqStage::kBatchForm);
         {
             const util::MutexLock lock(queueMutex_);
@@ -551,42 +562,26 @@ InferenceServer::workerLoop(std::size_t workerIndex)
             while (queue_.empty() &&
                    !stopWorkers_.load(std::memory_order_acquire))
                 queueCv_.wait(queueMutex_);
-            if (queue_.empty() &&
-                stopWorkers_.load(std::memory_order_acquire))
-                return;
-            const std::uint64_t gatherStart =
-                util::Timer::processNanoseconds();
-            batch.push_back(std::move(queue_.front()));
-            queue_.pop_front();
-            batch.back().popNs = gatherStart;
-            const auto deadline =
-                std::chrono::steady_clock::now() +
-                std::chrono::microseconds(config_.batchMaxDelayUs);
-            while (batch.size() < config_.batchMaxSize) {
-                if (!queue_.empty()) {
-                    batch.push_back(std::move(queue_.front()));
-                    queue_.pop_front();
-                    batch.back().popNs =
-                        util::Timer::processNanoseconds();
-                    continue;
-                }
-                if (stopWorkers_.load(std::memory_order_acquire))
-                    break;
-                if (queueCv_.waitUntil(queueMutex_, deadline) ==
-                    std::cv_status::timeout)
-                    break;
-            }
+            if (queue_.empty())
+                return; // stopping and drained
+            // Work-conserving: take what is queued, up to
+            // batchMaxSize, and start at once. Batches grow on
+            // their own while every worker is busy.
+            popNs = util::Timer::processNanoseconds();
+            do {
+                batch.push_back(std::move(queue_.front()));
+                queue_.pop_front();
+            } while (!queue_.empty() &&
+                     batch.size() < config_.batchMaxSize);
             queueDepth_.set(static_cast<double>(queue_.size()));
-            batchGatherLatency_.record(
-                util::Timer::processNanoseconds() - gatherStart);
         }
-        processBatch(batch, state);
+        processBatch(batch, popNs, state);
     }
 }
 
 void
 InferenceServer::processBatch(std::vector<Request> &batch,
-                              WorkerState &state)
+                              std::uint64_t popNs, WorkerState &state)
 {
     state.batchSeq.fetch_add(1, std::memory_order_relaxed);
     state.stage.store("predict", std::memory_order_relaxed);
@@ -608,19 +603,15 @@ InferenceServer::processBatch(std::vector<Request> &batch,
     }
     for (Request &req : batch) {
         req.ctx.setStage(obs::ReqStage::kQueue,
-                         req.popNs - req.enqueueNs);
+                         popNs - req.enqueueNs);
         req.ctx.setStage(obs::ReqStage::kBatchForm,
-                         batchStartNs - req.popNs);
+                         batchStartNs - popNs);
     }
     if (config_.batchHook)
         config_.batchHook(batch.size());
     batches_.add();
     batchLastSize_.set(static_cast<double>(batch.size()));
-    inflight_.set(static_cast<double>(
-        inflightRequests_.fetch_add(
-            static_cast<std::int64_t>(batch.size()),
-            std::memory_order_relaxed) +
-        static_cast<std::int64_t>(batch.size())));
+    inflight_.add(static_cast<double>(batch.size()));
     obs::EventLog::global().emit(
         obs::LogLevel::kDebug, "serve.batch",
         {{"size", std::to_string(batch.size())}});
@@ -748,11 +739,7 @@ InferenceServer::processBatch(std::vector<Request> &batch,
         }
     }
 
-    inflight_.set(static_cast<double>(
-        inflightRequests_.fetch_sub(
-            static_cast<std::int64_t>(batch.size()),
-            std::memory_order_relaxed) -
-        static_cast<std::int64_t>(batch.size())));
+    inflight_.add(-static_cast<double>(batch.size()));
     {
         const util::MutexLock lock(state.inflightMutex);
         state.inflightBatch.clear();

@@ -14,13 +14,14 @@
  *   <- {"id":"a","pred":1,"scores":[-0.1,0.9]}
  *   <- {"id":9,"error":"expected 3 features, got 2"}   (bad request)
  *
- * Threading: one acceptor, one reader thread per connection feeding
- * a bounded request queue, a worker pool popping batches (up to
- * batchMaxSize requests or batchMaxDelayUs of waiting, whichever
- * first), one scrape-port thread, one watchdog thread. A full queue
- * rejects at the reader with an "overloaded" error response instead
- * of back-pressuring the socket, so queue depth is bounded and
- * visible in /metrics.
+ * Threading: one acceptor (which also joins finished readers), one
+ * reader thread per connection feeding a bounded request queue, a
+ * work-conserving worker pool (a free worker takes whatever is
+ * queued, up to batchMaxSize, and starts at once; it sleeps only
+ * while the queue is empty), one scrape-port thread, one watchdog
+ * thread. A full queue rejects at the reader with an "overloaded"
+ * error response instead of back-pressuring the socket, so queue
+ * depth is bounded and visible in /metrics.
  *
  * Scrape port (HTTP/1.0, close-per-request, GET only - other
  * methods get 405):
@@ -124,9 +125,6 @@ struct ServeConfig
      * parallelism.
      */
     std::size_t predictThreads = 1;
-
-    /** Max wait to fill a batch beyond its first request. */
-    std::uint64_t batchMaxDelayUs = 200;
 
     /**
      * Serving arithmetic: "auto" (int8 when the loaded model carries
@@ -260,6 +258,8 @@ class InferenceServer
     struct WorkerState;
 
     void acceptLoop();
+    /** Join and drop the slots whose reader has finished. */
+    void reapFinishedReaders();
     void connectionLoop(std::shared_ptr<Connection> conn);
     void workerLoop(std::size_t workerIndex);
     void metricsLoop();
@@ -269,8 +269,9 @@ class InferenceServer
     /** Parse + validate one request line; enqueue or answer error. */
     void handleRequestLine(const std::shared_ptr<Connection> &conn,
                            const std::string &line);
+    /** Answer one batch popped from the queue at @p popNs. */
     void processBatch(std::vector<Request> &batch,
-                      WorkerState &state);
+                      std::uint64_t popNs, WorkerState &state);
 
     /** /debug endpoint bodies, built on the scrape thread. */
     std::string debugRequestsBody() const;
@@ -297,8 +298,6 @@ class InferenceServer
     std::atomic<bool> stopping_{false};
     /** Set after readers are joined: workers drain, then exit. */
     std::atomic<bool> stopWorkers_{false};
-    std::atomic<std::int64_t> openConnections_{0};
-    std::atomic<std::int64_t> inflightRequests_{0};
     /** Wakes the watchdog out of its poll sleep on stop(); the
      * watchdog waits on a loop-local mutex (nothing is guarded by
      * it, the sleep is the point). */
@@ -317,13 +316,19 @@ class InferenceServer
     std::thread samplerThread_;
     std::vector<std::thread> workerThreads_;
 
+    /** One accepted connection and its reader thread. */
+    struct ConnectionSlot
+    {
+        std::shared_ptr<Connection> conn;
+        std::thread reader;
+    };
+
     util::Mutex connectionsMutex_;
-    std::vector<std::shared_ptr<Connection>> connections_
-        LOOKHD_GUARDED_BY(connectionsMutex_);
-    /** Reader threads, reaped in stop(): swapped out under the mutex
-     * and joined outside it (joining under a lock a reader might
-     * want is the classic shutdown deadlock). */
-    std::vector<std::thread> connectionThreads_
+    /** Live connections; finished ones are reaped by the accept
+     * loop, the rest by stop(). Joins happen outside the mutex
+     * (joining under a lock a reader might want is the classic
+     * shutdown deadlock). */
+    std::vector<ConnectionSlot> connections_
         LOOKHD_GUARDED_BY(connectionsMutex_);
 
     util::Mutex queueMutex_;
@@ -362,7 +367,6 @@ class InferenceServer
     obs::Gauge &batchLastSize_;
     obs::Gauge &healthReady_;
     obs::LatencyHistogram &requestLatency_;
-    obs::LatencyHistogram &batchGatherLatency_;
 };
 
 } // namespace lookhd::serve

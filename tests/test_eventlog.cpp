@@ -153,6 +153,40 @@ TEST(EventLog, MergesThreadsByMonotonicTime)
     EXPECT_EQ(log.totalDropped(), 0u);
 }
 
+TEST(EventLog, ExitedThreadsRingPassesToTheNextThread)
+{
+    // Thread churn must not grow the log: a new thread takes the
+    // ring an exited one left, unflushed events included. With
+    // capacity 4, the second thread's three events overwrite two of
+    // the first thread's three.
+    EventLog log(4);
+    const auto emitThree = [&log](const char *event) {
+        std::thread([&log, event] {
+            for (int i = 0; i < 3; ++i)
+                log.emit(LogLevel::kInfo, event);
+        }).join();
+    };
+    emitThree("test.first");
+    emitThree("test.second");
+    EXPECT_EQ(log.totalDropped(), 2u);
+
+    const auto lines = flushLines(log);
+    // The drop marker, the first thread's newest event, then the
+    // second thread's three, each under its own thread id.
+    ASSERT_EQ(lines.size(), 5u);
+    std::string error;
+    const auto first = serve::parseJson(lines[1], error);
+    ASSERT_NE(first, nullptr) << error;
+    EXPECT_EQ(first->find("event")->string, "test.first");
+    for (std::size_t i = 2; i < lines.size(); ++i) {
+        const auto second = serve::parseJson(lines[i], error);
+        ASSERT_NE(second, nullptr) << error;
+        EXPECT_EQ(second->find("event")->string, "test.second");
+        EXPECT_NE(second->find("thread")->number,
+                  first->find("thread")->number);
+    }
+}
+
 TEST(EventLog, ResetZeroesCountersAndDropsEvents)
 {
     EventLog log(2);

@@ -108,6 +108,23 @@ TEST(Metrics, GaugeIsLastWriteWins)
     EXPECT_DOUBLE_EQ(g.value(), -3.0);
 }
 
+TEST(Metrics, ConcurrentGaugeAddsAreAtomic)
+{
+    obs::MetricRegistry reg;
+    obs::Gauge &g = reg.gauge("t.open");
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t)
+        threads.emplace_back([&g] {
+            for (int i = 0; i < 10000; ++i) {
+                g.add(2.0);
+                g.add(-1.0);
+            }
+        });
+    for (std::thread &t : threads)
+        t.join();
+    EXPECT_DOUBLE_EQ(g.value(), 40000.0);
+}
+
 TEST(Metrics, LatencyHistogramTracksExactMomentsAndPercentiles)
 {
     obs::MetricRegistry reg;

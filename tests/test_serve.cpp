@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "serve/jsonin.hpp"
 #include "serve/net.hpp"
 #include "serve/server.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace {
 
@@ -120,7 +122,6 @@ class ServeTest : public ::testing::Test
         cfg.metricsPort = 0;
         cfg.workers = 2;
         cfg.batchMaxSize = 8;
-        cfg.batchMaxDelayUs = 100;
         server_ = std::make_unique<serve::InferenceServer>(
             trainedClassifier(), cfg);
         server_->start();
@@ -321,7 +322,6 @@ TEST(ServeQuantized, Int8PathServesMatchingPredictions)
     cfg.metricsPort = 0;
     cfg.workers = 2;
     cfg.batchMaxSize = 8;
-    cfg.batchMaxDelayUs = 100;
     cfg.precision = "int8";
     serve::InferenceServer server(trainedClassifier(), cfg);
     server.start();
@@ -561,7 +561,6 @@ TEST(ServeDebug, DebugEndpointsExposeCapturedRequests)
     serve::ServeConfig cfg;
     cfg.workers = 1;
     cfg.batchMaxSize = 4;
-    cfg.batchMaxDelayUs = 100;
     cfg.sampleEveryN = 1; // capture every request
     cfg.slowThresholdNs = ~0ULL >> 1;
     serve::InferenceServer server(trainedClassifier(), cfg);
@@ -632,7 +631,6 @@ TEST(ServeWatchdog, StallDumpFiresOncePerStuckBatch)
     serve::ServeConfig cfg;
     cfg.workers = 1;
     cfg.batchMaxSize = 4;
-    cfg.batchMaxDelayUs = 100;
     cfg.watchdogDeadlineMs = 50;
     cfg.watchdogPeriodMs = 10;
     // First batch stalls well past the deadline; the rest run free.
@@ -717,7 +715,6 @@ TEST(ServeHealth, OverloadFlipsHealthzAndRecovers)
     serve::ServeConfig cfg;
     cfg.workers = 1;
     cfg.batchMaxSize = 1;
-    cfg.batchMaxDelayUs = 100;
     cfg.queueCapacity = 2;
     cfg.scoreDelayNs = 5'000'000; // 5 ms per request
     // Long enough that the unready episode stays latched while the
@@ -886,6 +883,140 @@ TEST(ServeLifecycle, EphemeralPortsAreDistinctAndNonzero)
     EXPECT_NE(server.metricsPort(), 0);
     EXPECT_NE(server.port(), server.metricsPort());
     server.stop();
+}
+
+/** Entries of a /proc/self directory (open fds, live threads). */
+std::size_t
+procEntries(const char *dir)
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator(dir))
+        ++n;
+    return n;
+}
+
+/** Poll @p done every 10 ms for up to 5 s; @return its last value. */
+template <class Pred>
+bool
+pollFor5s(Pred done)
+{
+    for (int i = 0; i < 500; ++i) {
+        if (done())
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return done();
+}
+
+TEST(ServeLifecycle, ClosedConnectionsReleaseFdsAndThreads)
+{
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+    const obs::Gauge &open = obs::MetricRegistry::global().gauge(
+        "serve.connections.open");
+
+    const std::size_t fdsBefore = procEntries("/proc/self/fd");
+    const std::size_t tasksBefore = procEntries("/proc/self/task");
+    const std::vector<double> features(12, 0.5);
+    constexpr std::uint64_t kCycles = 200;
+    for (std::uint64_t i = 0; i < kCycles; ++i) {
+        serve::TcpStream stream =
+            serve::TcpStream::connect("127.0.0.1", server.port());
+        const auto doc = roundTrip(stream, requestLine(i, features));
+        ASSERT_NE(doc, nullptr);
+        ASSERT_NE(doc->find("pred"), nullptr) << "cycle " << i;
+    } // the client closes here
+
+    // Readers see EOF and finish; the accept loop joins them and
+    // drops their sockets on its next pass (every 100 ms). A few
+    // fds/threads of slack absorb lazily created process state.
+    constexpr std::size_t kSlack = 4;
+    pollFor5s([&] {
+        return open.value() == 0.0 &&
+               procEntries("/proc/self/fd") <= fdsBefore + kSlack &&
+               procEntries("/proc/self/task") <= tasksBefore + kSlack;
+    });
+    EXPECT_EQ(open.value(), 0.0);
+    EXPECT_LE(procEntries("/proc/self/fd"), fdsBefore + kSlack);
+    EXPECT_LE(procEntries("/proc/self/task"), tasksBefore + kSlack);
+    server.stop();
+}
+
+TEST(ServeBatching, QueuedRequestsFormOneBatchBehindBusyWorker)
+{
+    // One worker, stalled in its first batch while six more requests
+    // queue behind it: it must then take them as 4 + 2 at once,
+    // without waiting for a batch to fill.
+    util::Mutex sizesMutex;
+    std::vector<std::size_t> sizes;
+    std::atomic<bool> release{false};
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.batchMaxSize = 4;
+    cfg.batchHook = [&](std::size_t size) {
+        bool first = false;
+        {
+            const util::MutexLock lock(sizesMutex);
+            sizes.push_back(size);
+            first = sizes.size() == 1;
+        }
+        while (first && !release.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+
+    Classifier reference = trainedClassifier();
+    data::SyntheticSpec spec;
+    spec.numFeatures = 12;
+    spec.numClasses = 3;
+    spec.seed = 5;
+    const data::Dataset probes =
+        data::SyntheticProblem(spec).sample(7);
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        const auto row = probes.row(i);
+        lines.push_back(
+            requestLine(i, std::vector<double>(row.begin(), row.end())) +
+            "\n");
+    }
+
+    serve::TcpStream stream =
+        serve::TcpStream::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(stream.sendAll(lines[0]));
+    ASSERT_TRUE(pollFor5s([&] {
+        const util::MutexLock lock(sizesMutex);
+        return !sizes.empty();
+    })) << "the first request never reached the worker";
+    std::string pipelined;
+    for (std::size_t i = 1; i < lines.size(); ++i)
+        pipelined += lines[i];
+    ASSERT_TRUE(stream.sendAll(pipelined));
+    const obs::Gauge &depth =
+        obs::MetricRegistry::global().gauge("serve.queue.depth");
+    const bool queued = pollFor5s([&] { return depth.value() == 6.0; });
+    release.store(true);
+    ASSERT_TRUE(queued) << "queue depth " << depth.value();
+
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+        std::string line;
+        ASSERT_TRUE(stream.readLine(line)) << "response " << i;
+        std::string error;
+        const auto doc = serve::parseJson(line, error);
+        ASSERT_NE(doc, nullptr) << error << ": " << line;
+        ASSERT_NE(doc->find("id"), nullptr) << line;
+        ASSERT_NE(doc->find("pred"), nullptr) << line;
+        EXPECT_EQ(doc->find("id")->number, static_cast<double>(i));
+        EXPECT_EQ(static_cast<std::size_t>(doc->find("pred")->number),
+                  reference.predict(probes.row(i)))
+            << "probe " << i;
+    }
+    server.stop();
+    const util::MutexLock lock(sizesMutex);
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 4, 2}));
 }
 
 } // namespace

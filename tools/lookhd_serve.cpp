@@ -6,8 +6,7 @@
  *   lookhd_serve --model model.bin
  *                [--port 7070] [--metrics-port 7071]
  *                [--workers 2] [--batch-max 16] [--threads 1]
- *                [--precision auto]
- *                [--batch-delay-us 200] [--queue-cap 1024]
+ *                [--precision auto] [--queue-cap 1024]
  *                [--watchdog-ms 2000]
  *                [--slow-ms 100] [--sample-every N]
  *                [--slow-log slow.jsonl]
@@ -60,7 +59,7 @@ constexpr const char *kUsage =
     "                    [--port 7070] [--metrics-port 7071]\n"
     "                    [--workers 2] [--batch-max 16]\n"
     "                    [--threads 1] [--precision auto]\n"
-    "                    [--batch-delay-us 200] [--queue-cap 1024]\n"
+    "                    [--queue-cap 1024]\n"
     "                    [--watchdog-ms 2000]\n"
     "                    [--slow-ms 100] [--sample-every N]\n"
     "                    [--slow-log slow.jsonl]\n"
@@ -84,6 +83,9 @@ constexpr const char *kUsage =
     "/debug/profile?seconds=N&hz=H). Port 0 picks\n"
     "a free port; both are announced on stdout. SIGTERM/SIGINT\n"
     "drains and exits 0.\n"
+    "  --batch-max N       most queued requests a free worker takes\n"
+    "                      as one batch; it starts at once and never\n"
+    "                      waits for a batch to fill\n"
     "  --threads N         prediction threads per worker batch\n"
     "                      (1 = the worker alone, 0 = one per\n"
     "                      hardware thread); results are identical\n"
@@ -220,8 +222,6 @@ main(int argc, char **argv)
         cfg.predictThreads =
             static_cast<std::size_t>(args.getInt("threads", 1));
         cfg.precision = args.get("precision", "auto");
-        cfg.batchMaxDelayUs = static_cast<std::uint64_t>(
-            args.getInt("batch-delay-us", 200));
         cfg.queueCapacity =
             static_cast<std::size_t>(args.getInt("queue-cap", 1024));
         cfg.watchdogDeadlineMs = static_cast<std::uint64_t>(

@@ -10,7 +10,10 @@ Round trip, in one process tree:
   3. drive it with lookhd_loadgen (``--quick`` by default here),
      pipelining requests with ``--burst`` so server-side batches
      actually fill,
-  4. send one traced request over a raw socket (client-chosen
+  4. churn phase: open and close 300 connections and assert the
+     server releases them (serve.connections.open back to 0 and
+     process.open_fds within 8 of its pre-churn value within 5 s),
+  5. send one traced request over a raw socket (client-chosen
      128-bit trace id) and assert the response echoes the trace;
      when the build has observability on, additionally assert the
      request shows up in /debug/requests with a stage breakdown
@@ -18,16 +21,16 @@ Round trip, in one process tree:
      slack), that at least one latency bucket in /metrics carries
      an OpenMetrics exemplar, and that /debug/inflight and
      /debug/trace?ms=N answer sanely,
-  5. scrape GET /metrics, lint it with
+  6. scrape GET /metrics, lint it with
      validate_prometheus.check_text and assert the request counter
      is nonzero, the latency histogram has buckets, and the batched
      predict path was exercised (at least one batch of size > 1),
-  6. scrape GET /metrics.json and assemble a ``lookhd-bench-v2``
+  7. scrape GET /metrics.json and assemble a ``lookhd-bench-v2``
      BENCH_serve_smoke.json (server-side latency quantiles + client
      QPS in `metrics`) into --out-dir, validated with
      validate_bench_json.check_file so tools/bench_compare.py can
      diff serve latency across commits once a baseline is pinned,
-  7. profile phase: restart loadgen traffic in the background and
+  8. profile phase: restart loadgen traffic in the background and
      scrape ``/debug/profile?seconds=2`` while the server is busy;
      the collapsed stacks must lint clean (validate_profile), fit
      the seconds x hz x threads CPU-time sampling bound, and show
@@ -37,18 +40,18 @@ Round trip, in one process tree:
      application/json). The collapsed profile lands in --out-dir
      for CI artifact upload. Skipped with a notice when the build
      answers 404 (profiler compiled out),
-  8. SIGTERM the server and assert exit status 0 with the event log
+  9. SIGTERM the server and assert exit status 0 with the event log
      flushed (serve.start and serve.shutdown both present, every
      line valid JSON); with observability on, the slow-request log
      must hold the traced request as a valid JSON line,
-  9. degraded phase: start a second, deliberately under-provisioned
+ 10. degraded phase: start a second, deliberately under-provisioned
      server (1 slow worker, queue capacity 4), burst far past queue
      capacity, and assert /healthz flips to 503 with a
      machine-readable reason, /debug/health agrees (both bodies are
      saved to --workdir for CI artifact upload), and readiness
      recovers to 200 once the queue drains and the overload hold
      expires,
- 10. quantized phase: serve the same model with --precision float64
+ 11. quantized phase: serve the same model with --precision float64
      and --precision int8, drive both with the same fixed query
      set, and assert the quantized predictions match the float ones
      query for query, serve.requests.quantized covers the whole set
@@ -105,6 +108,13 @@ PRE_RESPONSE_STAGES = ("parse", "queue", "batch_form", "encode",
 PROFILE_SECONDS = 2
 PROFILE_HZ = 199
 PROFILE_MAX_BUSY_THREADS = 8
+
+# Churn phase: connections opened and closed after the load run, the
+# open-fd slack over the pre-churn count, and how long the server may
+# take to release them.
+CHURN_CONNECTIONS = 300
+CHURN_FD_SLACK = 8
+CHURN_SETTLE_S = 5.0
 
 EXEMPLAR_BUCKET_RE = re.compile(
     r'_bucket\{[^}]*le="[^"]*"[^}]*\} \S+ '
@@ -305,6 +315,44 @@ def profile_phase(loadgen_bin: str, port: int, metrics_port: int,
             loadgen.wait(timeout=30)
         except subprocess.TimeoutExpired:
             loadgen.kill()
+
+
+def server_gauges(metrics_port: int) -> dict:
+    """The registry gauges from one /metrics.json scrape (the scrape
+    refreshes the process.* gauges)."""
+    snapshot = json.loads(scrape(metrics_port, "/metrics.json"))
+    return snapshot.get("registry", {}).get("gauges", {})
+
+
+def churn_phase(port: int, metrics_port: int) -> None:
+    """Open and close CHURN_CONNECTIONS connections, then require the
+    server to release them: serve.connections.open back to 0 and
+    process.open_fds within CHURN_FD_SLACK of its pre-churn value,
+    polling for up to CHURN_SETTLE_S (finished readers are reaped
+    on the accept loop's 100 ms pass)."""
+    fds_before = server_gauges(metrics_port).get("process.open_fds")
+    if fds_before is None:
+        raise SmokeError("/metrics.json has no process.open_fds gauge")
+    for _ in range(CHURN_CONNECTIONS):
+        socket.create_connection(("127.0.0.1", port),
+                                 timeout=10).close()
+    deadline = time.monotonic() + CHURN_SETTLE_S
+    while True:
+        gauges = server_gauges(metrics_port)
+        open_now = gauges.get("serve.connections.open")
+        fds_now = gauges.get("process.open_fds", fds_before)
+        if open_now == 0 and fds_now <= fds_before + CHURN_FD_SLACK:
+            break
+        if time.monotonic() >= deadline:
+            raise SmokeError(
+                f"{CHURN_CONNECTIONS} closed connections were not "
+                f"released within {CHURN_SETTLE_S:g} s: "
+                f"serve.connections.open={open_now}, "
+                f"process.open_fds={fds_now} (before: {fds_before})")
+        time.sleep(0.1)
+    print(f"serve_smoke: churn phase OK ({CHURN_CONNECTIONS} "
+          f"connections opened and closed, open_fds {fds_before:g} "
+          f"-> {fds_now:g})")
 
 
 def check_prometheus(text: str) -> None:
@@ -795,6 +843,7 @@ def main() -> int:
             raise SmokeError(f"loadgen reported errors:\n"
                              f"{loadgen_out}")
         print(f"serve_smoke: {loadgen_out.strip()}")
+        churn_phase(port, metrics_port)
 
         # Traced request last so its slow-log record survives the
         # loadgen flood and the /metrics scrape below can carry its
