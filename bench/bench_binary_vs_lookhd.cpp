@@ -9,8 +9,9 @@
 #include <memory>
 
 #include "common.hpp"
-#include "hdc/binary_model.hpp"
+#include "hdc/similarity.hpp"
 #include "lookhd/counter_trainer.hpp"
+#include "lookhd/quantized_inference.hpp"
 #include "quant/equalized_quantizer.hpp"
 
 int
@@ -35,18 +36,23 @@ main(int argc, char **argv)
         const double look_acc = clf.evaluate(tt.test);
 
         // Binarize the same trained model and classify with Hamming
-        // similarity.
-        const hdc::BinaryModel binary(clf.uncompressedModel());
+        // similarity (the +-1 dot 2 * matches - D ranks alike).
+        const auto binary =
+            QuantizedServingModel::fromClassModel(clf.uncompressedModel());
         std::size_t ok = 0;
         for (std::size_t i = 0; i < tt.test.size(); ++i) {
             const hdc::IntHv q =
                 clf.encoder().encode(tt.test.row(i));
-            ok += binary.predict(q) == tt.test.label(i);
+            const hdc::IntHv *qp = &q;
+            ok += hdc::argmax(binary.scoresBatchBinary(&qp, 1)) ==
+                  tt.test.label(i);
         }
         const double bin_acc =
             static_cast<double>(ok) /
             static_cast<double>(tt.test.size());
         gap_sum += look_acc - bin_acc;
+        rep.metric("accuracy_lookhd_" + app.name, look_acc);
+        rep.metric("accuracy_binary_" + app.name, bin_acc);
         table.addRow(
             {app.name, util::fmtPercent(look_acc),
              util::fmtPercent(bin_acc),
@@ -54,7 +60,7 @@ main(int argc, char **argv)
              util::fmtRatio(
                  static_cast<double>(
                      clf.uncompressedModel().sizeBytes()) /
-                 static_cast<double>(binary.sizeBytes()))});
+                 static_cast<double>(binary.binarySizeBytes()))});
     }
     std::printf("%s", table.render().c_str());
     std::printf("\nAverage gap: %s. Paper: binary frameworks average "

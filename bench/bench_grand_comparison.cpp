@@ -11,11 +11,12 @@
 #include "baseline/mlp.hpp"
 #include "baseline/mlp_fpga_model.hpp"
 #include "common.hpp"
-#include "hdc/binary_model.hpp"
 #include "hdc/online_trainer.hpp"
+#include "hdc/similarity.hpp"
 #include "hdc/trainer.hpp"
 #include "hw/fpga_model.hpp"
 #include "hw/report.hpp"
+#include "lookhd/quantized_inference.hpp"
 #include "quant/linear_quantizer.hpp"
 
 int
@@ -73,16 +74,20 @@ main(int argc, char **argv)
                      fpga.baselineInferQuery(bp).seconds)});
 
             // Binary HDC (binarized baseline model).
-            const hdc::BinaryModel binary(result.model);
+            const auto binary =
+                QuantizedServingModel::fromClassModel(result.model);
             std::size_t ok = 0;
-            for (std::size_t i = 0; i < tt.test.size(); ++i)
-                ok += binary.predict(encoder.encode(
-                          tt.test.row(i))) == tt.test.label(i);
+            for (std::size_t i = 0; i < tt.test.size(); ++i) {
+                const hdc::IntHv q = encoder.encode(tt.test.row(i));
+                const hdc::IntHv *qp = &q;
+                ok += hdc::argmax(binary.scoresBatchBinary(&qp, 1)) ==
+                      tt.test.label(i);
+            }
             table.addRow(
                 {"binary HDC",
                  util::fmtPercent(static_cast<double>(ok) /
                                   tt.test.size()),
-                 std::to_string(binary.sizeBytes()),
+                 std::to_string(binary.binarySizeBytes()),
                  formatSeconds(fpga.baselineTrain(bp).seconds),
                  formatSeconds(
                      fpga.baselineInferQuery(bp).seconds)});

@@ -13,10 +13,11 @@
 
 #include "baseline/mlp.hpp"
 #include "data/apps.hpp"
-#include "hdc/binary_model.hpp"
 #include "hdc/encoder.hpp"
+#include "hdc/similarity.hpp"
 #include "hdc/trainer.hpp"
 #include "lookhd/classifier.hpp"
+#include "lookhd/quantized_inference.hpp"
 #include "quant/linear_quantizer.hpp"
 
 int
@@ -66,16 +67,19 @@ main()
 
     // Binary HDC model (prior in-memory accelerators).
     {
-        const hdc::BinaryModel binary(lookhd.uncompressedModel());
+        const auto binary = QuantizedServingModel::fromClassModel(
+            lookhd.uncompressedModel());
         std::size_t ok = 0;
         for (std::size_t i = 0; i < tt.test.size(); ++i) {
-            ok += binary.predict(lookhd.encoder().encode(
-                      tt.test.row(i))) == tt.test.label(i);
+            const hdc::IntHv q = lookhd.encoder().encode(tt.test.row(i));
+            const hdc::IntHv *qp = &q;
+            ok += hdc::argmax(binary.scoresBatchBinary(&qp, 1)) ==
+                  tt.test.label(i);
         }
         std::printf("%-28s %9.1f%% %14zu\n", "binary HDC model",
                     100.0 * static_cast<double>(ok) /
                         static_cast<double>(tt.test.size()),
-                    binary.sizeBytes());
+                    binary.binarySizeBytes());
     }
 
     // MLP baseline.

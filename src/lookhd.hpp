@@ -18,7 +18,6 @@
 #include "util/timer.hpp"
 
 // HDC substrate
-#include "hdc/binary_model.hpp"
 #include "hdc/bitpack.hpp"
 #include "hdc/clustering.hpp"
 #include "hdc/encoder.hpp"
@@ -27,7 +26,6 @@
 #include "hdc/model.hpp"
 #include "hdc/ngram_encoder.hpp"
 #include "hdc/online_trainer.hpp"
-#include "hdc/quantized_model.hpp"
 #include "hdc/record_encoder.hpp"
 #include "hdc/similarity.hpp"
 #include "hdc/trainer.hpp"

@@ -55,29 +55,20 @@ quantizeRowI32(const hdc::IntHv &row, std::int8_t *out)
 }
 
 /**
- * Pack the signs of an int32 query word-wise (zero maps to +1,
- * matching hdc::sign()); the bit-by-bit PackedHv::set() loop this
- * replaces dominated the binary path's per-query cost.
+ * Pack the signs of a row word-wise (zero maps to +1, matching
+ * hdc::sign()). Word-wise because the binary path packs every query
+ * it serves.
  */
+template <class Row>
 hdc::PackedHv
-packQuerySigns(const hdc::IntHv &query)
+packSigns(const Row &row)
 {
-    const std::size_t n = query.size();
+    const std::size_t n = row.size();
     std::vector<std::uint64_t> words((n + 63) / 64, 0);
     for (std::size_t i = 0; i < n; ++i)
-        words[i / 64] |= static_cast<std::uint64_t>(query[i] >= 0)
+        words[i / 64] |= static_cast<std::uint64_t>(row[i] >= 0)
                          << (i % 64);
     return hdc::PackedHv(n, std::move(words));
-}
-
-/** Pack the signs of a float row (zero maps to +1, like sign()). */
-hdc::PackedHv
-packSigns(const hdc::RealHv &row)
-{
-    hdc::PackedHv packed(row.size());
-    for (std::size_t i = 0; i < row.size(); ++i)
-        packed.set(i, row[i] >= 0.0);
-    return packed;
 }
 
 /** Build both serving forms from the effective float class rows. */
@@ -180,6 +171,63 @@ QuantizedServingModel::fromCompressedModel(const CompressedModel &model)
     return fromRows(dim, rows);
 }
 
+QuantizedServingModel
+QuantizedServingModel::fromClassModelBits(const hdc::ClassModel &model,
+                                          std::size_t bits)
+{
+    LOOKHD_CHECK(bits >= 1 && bits <= 8, "bits must be in [1, 8]");
+    // Symmetric levels: b bits hold values in [-max_level, max_level]
+    // with max_level = 2^(b-1) - 1 (and 1-bit degenerates to +-1).
+    const double max_level =
+        bits == 1 ? 1.0 : static_cast<double>((1 << (bits - 1)) - 1);
+    const std::size_t k = model.numClasses();
+    const hdc::Dim dim = model.dim();
+    std::vector<std::int8_t> levels(k * dim);
+    std::vector<double> scales(k);
+    std::vector<hdc::PackedHv> binary;
+    binary.reserve(k);
+    for (std::size_t c = 0; c < k; ++c) {
+        const hdc::IntHv &hv = model.classHv(c);
+        // Robust step: map +-3 sigma onto the level range and let
+        // the tail saturate. Peak-based scaling would waste nearly
+        // every level on the heavy tail and round the bulk to zero.
+        double sum2 = 0.0;
+        for (const std::int32_t v : hv)
+            sum2 += static_cast<double>(v) * v;
+        const double sigma = std::sqrt(sum2 / static_cast<double>(dim));
+        const double step = sigma > 0.0 ? 3.0 * sigma / max_level : 1.0;
+        std::int8_t *row = levels.data() + c * dim;
+        double norm2 = 0.0;
+        for (std::size_t i = 0; i < dim; ++i) {
+            const double level =
+                bits == 1 ? (hv[i] < 0 ? -1.0 : 1.0)
+                          : std::clamp(std::round(hv[i] / step),
+                                       -max_level, max_level);
+            row[i] = static_cast<std::int8_t>(level);
+            norm2 += level * level;
+        }
+        scales[c] = 1.0 / std::sqrt(std::max(norm2, 1e-12));
+        binary.push_back(packSigns(hv));
+    }
+    QuantizedServingModel out(dim, std::move(levels), std::move(scales),
+                              std::move(binary));
+    out.bits_ = bits;
+    return out;
+}
+
+std::size_t
+QuantizedServingModel::sizeBytes() const
+{
+    return (numClasses() * dim_ * bits_ + 7) / 8 +
+           numClasses() * sizeof(float);
+}
+
+std::size_t
+QuantizedServingModel::binarySizeBytes() const
+{
+    return (numClasses() * dim_ + 7) / 8;
+}
+
 std::vector<double>
 QuantizedServingModel::scoresBatchI8(const hdc::IntHv *const *queries,
                               std::size_t numQueries) const
@@ -224,7 +272,7 @@ QuantizedServingModel::scoresBatchBinary(const hdc::IntHv *const *queries,
         const hdc::IntHv &query = *queries[q];
         LOOKHD_CHECK(query.size() == dim_,
                      "query dimensionality mismatch");
-        const hdc::PackedHv packed = packQuerySigns(query);
+        const hdc::PackedHv packed = packSigns(query);
         for (std::size_t c = 0; c < k; ++c) {
             const std::size_t matches = hdc::kernels::matchCountWords(
                 packed.data().data(), binary_[c].data().data(),

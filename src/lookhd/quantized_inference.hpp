@@ -13,11 +13,15 @@
  *    quantized the same way per request. A score is then one exact
  *    dotI8I8 kernel call times the two scales.
  *  - binary: the sign of each effective row, packed 64 dims per
- *    word (the binary_model.* packing); a score is one popcount
- *    kernel call turned into the +-1 dot 2 * matches - D.
+ *    word; a score is one popcount kernel call turned into the +-1
+ *    dot 2 * matches - D. fromClassModel()'s binary rows are the
+ *    sign-binarized model of prior binary HDC work, the Sec. VII
+ *    baseline bench_binary_vs_lookhd compares LookHD against.
  *
  * Both forms are always materialized together (the pair costs
- * ~9 bits per dimension per class). Scoring is bit-identical across
+ * ~9 bits per dimension per class). fromClassModelBits() fills the
+ * same int8 rows with b-bit levels instead, the model-precision
+ * study of bench_model_precision. Scoring is bit-identical across
  * kernel Impls because every kernel involved is exact integer
  * arithmetic; the only doubles appear in the final per-score scalar
  * multiply, which is identical on every path. Accuracy relative to
@@ -93,8 +97,32 @@ class QuantizedServingModel
     static QuantizedServingModel
     fromCompressedModel(const CompressedModel &model);
 
+    /**
+     * The b-bit study form of a trained model (the QuanHD direction,
+     * paper ref. [62]). Each integer class row maps onto the
+     * symmetric levels [-(2^(b-1) - 1), 2^(b-1) - 1] with +-3 sigma
+     * at the ends of the range and the tail saturating; bits == 1
+     * keeps only the sign (zero maps to +1). The levels fill the
+     * int8 rows and each class scale is 1 / ||levels_c||, so
+     * scoresBatchI8() ranks by cosine. The binary rows are the
+     * signs of the class rows, as in fromClassModel().
+     * @pre 1 <= bits <= 8 (the int8 rows cap the width).
+     */
+    static QuantizedServingModel
+    fromClassModelBits(const hdc::ClassModel &model, std::size_t bits);
+
     hdc::Dim dim() const { return dim_; }
     std::size_t numClasses() const { return scales_.size(); }
+
+    /**
+     * Deployed size of the level rows: ceil(k * dim * bits / 8)
+     * bytes plus one float32 scale per class, where bits is 8, or
+     * fromClassModelBits()'s b.
+     */
+    std::size_t sizeBytes() const;
+
+    /** Deployed size of the sign rows: ceil(k * dim / 8) bytes. */
+    std::size_t binarySizeBytes() const;
 
     /** Flat k x dim int8 rows (serialization). */
     const std::vector<std::int8_t> &int8Rows() const { return rows_; }
@@ -128,6 +156,7 @@ class QuantizedServingModel
 
   private:
     hdc::Dim dim_;
+    std::size_t bits_ = 8; ///< Bits per stored level.
     std::vector<std::int8_t> rows_; ///< k x dim, row-major.
     std::vector<double> scales_;    ///< k per-class scales.
     std::vector<hdc::PackedHv> binary_; ///< k packed sign rows.

@@ -403,10 +403,12 @@ HealthMonitor::writeWindowsJson(JsonWriter &w,
     const util::MutexLock lock(mutex_);
     std::size_t n = ring_.size();
     if (lastSeconds > 0.0 && config_.windowSeconds > 0.0) {
-        const double want =
-            std::ceil(lastSeconds / config_.windowSeconds);
-        n = std::min(n, static_cast<std::size_t>(
-                            std::max(want, 1.0)));
+        // Compare in double: inf or 1e300 windows must not reach a
+        // size_t cast (NaN fails the guard above: everything).
+        const double want = std::max(
+            std::ceil(lastSeconds / config_.windowSeconds), 1.0);
+        if (want < static_cast<double>(n))
+            n = static_cast<std::size_t>(want);
     }
     w.beginObject();
     w.kv("window_seconds", config_.windowSeconds);

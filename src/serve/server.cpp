@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -10,7 +11,6 @@
 #include "hdc/kernels.hpp"
 #include "hdc/similarity.hpp"
 #include "obs/eventlog.hpp"
-#include "par/thread_pool.hpp"
 #include "obs/exposition.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -113,7 +113,8 @@ struct InferenceServer::WorkerState
 {
     /** processNanoseconds() when the current batch started; 0=idle. */
     std::atomic<std::uint64_t> busySinceNs{0};
-    std::atomic<const char *> stage{"idle"};
+    /** The ReqStage the worker is in, or kProfileStageNone = idle. */
+    std::atomic<std::uint8_t> stage{obs::kProfileStageNone};
     /** Monotonic per-worker batch number; lets the watchdog trip
      * once per stuck batch instead of once per poll. */
     std::atomic<std::uint64_t> batchSeq{0};
@@ -131,6 +132,26 @@ struct InferenceServer::WorkerState
     util::Mutex inflightMutex;
     std::vector<InflightEntry> inflightBatch
         LOOKHD_GUARDED_BY(inflightMutex);
+
+    /** Enter a stage (kProfileStageNone = idle): /debug/inflight,
+     * the watchdog and the profiler all see the same one. */
+    void
+    enter(std::uint8_t s)
+    {
+        stage.store(s, std::memory_order_relaxed);
+        obs::profilerPublishStage(s);
+    }
+    void enter(obs::ReqStage s) { enter(static_cast<std::uint8_t>(s)); }
+
+    /** Name of the current stage: a ReqStage name, or "idle". */
+    const char *
+    stageName() const
+    {
+        const std::uint8_t s = stage.load(std::memory_order_relaxed);
+        return s == obs::kProfileStageNone
+                   ? "idle"
+                   : obs::reqStageName(static_cast<obs::ReqStage>(s));
+    }
 };
 
 namespace {
@@ -311,24 +332,18 @@ InferenceServer::start()
         }
     }
 
-    const std::size_t predictThreads =
-        par::resolveThreads(config_.predictThreads);
     obs::MetricRegistry::global().setLabel(
         "kernel",
         hdc::kernels::implName(hdc::kernels::activeImpl()));
     obs::MetricRegistry::global().setLabel(
         "precision",
         precisionName(classifier_.servingPrecision()));
-    obs::MetricRegistry::global()
-        .gauge("serve.predict.threads")
-        .set(static_cast<double>(predictThreads));
 
     obs::EventLog::global().emit(
         obs::LogLevel::kInfo, "serve.start",
         {{"port", std::to_string(port())},
          {"metrics_port", std::to_string(metricsPort())},
          {"workers", std::to_string(workers)},
-         {"predict_threads", std::to_string(predictThreads)},
          {"features", std::to_string(expectedFeatures_)}});
 }
 
@@ -554,6 +569,8 @@ InferenceServer::workerLoop(std::size_t workerIndex)
     while (true) {
         std::vector<Request> batch;
         std::uint64_t popNs = 0;
+        // The profiler charges the pop to batch_form; the worker
+        // reports "idle" until it holds a batch (processBatch).
         obs::profilerPublishStage(obs::ReqStage::kBatchForm);
         {
             const util::MutexLock lock(queueMutex_);
@@ -584,7 +601,7 @@ InferenceServer::processBatch(std::vector<Request> &batch,
                               std::uint64_t popNs, WorkerState &state)
 {
     state.batchSeq.fetch_add(1, std::memory_order_relaxed);
-    state.stage.store("predict", std::memory_order_relaxed);
+    state.enter(obs::ReqStage::kBatchForm);
     const std::uint64_t batchStartNs =
         util::Timer::processNanoseconds();
     state.busySinceNs.store(batchStartNs,
@@ -637,13 +654,11 @@ InferenceServer::processBatch(std::vector<Request> &batch,
     std::uint64_t scoreStartNs = 0;
     {
         LOOKHD_SPAN("serve.predict", "serve");
-        obs::profilerPublishStage(obs::ReqStage::kEncode);
-        const std::vector<hdc::IntHv> encoded =
-            classifier_.encodeRows(rows, config_.predictThreads);
+        state.enter(obs::ReqStage::kEncode);
+        const std::vector<hdc::IntHv> encoded = classifier_.encodeRows(rows);
         scoreStartNs = util::Timer::processNanoseconds();
-        obs::profilerPublishStage(obs::ReqStage::kScore);
-        batchScores =
-            classifier_.scoresEncoded(encoded, config_.predictThreads);
+        state.enter(obs::ReqStage::kScore);
+        batchScores = classifier_.scoresEncoded(encoded);
         // Load-testing aid: inflate the scoring stage so overload
         // and latency-SLO scenarios reproduce deterministically.
         if (config_.scoreDelayNs > 0)
@@ -656,7 +671,7 @@ InferenceServer::processBatch(std::vector<Request> &batch,
     // Serialize/write run back to back per request, so chaining one
     // timestamp through the loop costs a single clock read per hop.
     std::uint64_t t = scoreEndNs;
-    obs::profilerPublishStage(obs::ReqStage::kSerialize);
+    state.enter(obs::ReqStage::kSerialize);
     for (std::size_t i = 0; i < batch.size(); ++i) {
         Request &req = batch[i];
         const std::vector<double> &scores = batchScores[i];
@@ -694,11 +709,9 @@ InferenceServer::processBatch(std::vector<Request> &batch,
             requestLatency_.record(serialized - req.enqueueNs);
         }
         requestsOk_.add();
-        state.stage.store("respond", std::memory_order_relaxed);
-        obs::profilerPublishStage(obs::ReqStage::kWrite);
+        state.enter(obs::ReqStage::kWrite);
         req.conn->writeLine(w.str());
-        obs::profilerPublishStage(obs::ReqStage::kSerialize);
-        state.stage.store("predict", std::memory_order_relaxed);
+        state.enter(obs::ReqStage::kSerialize);
         const std::uint64_t written =
             util::Timer::processNanoseconds();
         req.ctx.setStage(obs::ReqStage::kWrite, written - serialized);
@@ -745,8 +758,7 @@ InferenceServer::processBatch(std::vector<Request> &batch,
         state.inflightBatch.clear();
     }
     state.busySinceNs.store(0, std::memory_order_relaxed);
-    state.stage.store("idle", std::memory_order_relaxed);
-    obs::profilerPublishStage(obs::kProfileStageNone);
+    state.enter(obs::kProfileStageNone);
 }
 
 std::string
@@ -792,8 +804,7 @@ InferenceServer::debugInflightBody()
             state.busySinceNs.load(std::memory_order_relaxed);
         w.beginObject();
         w.kv("worker", static_cast<std::uint64_t>(i));
-        w.kv("stage", std::string(state.stage.load(
-                          std::memory_order_relaxed)));
+        w.kv("stage", state.stageName());
         w.kv("busy_ns", ageNs(busySince));
         w.key("batch").beginArray();
         {
@@ -858,7 +869,8 @@ InferenceServer::debugProfileBody(const std::string &query,
             query.c_str() + hzArg + 3, nullptr, 10));
     // Like /debug/trace, the capture deliberately blocks the scrape
     // thread for the window; clamp so a typo cannot park it.
-    seconds = std::clamp(seconds, 0.1, 30.0);
+    // NaN passes std::clamp unchanged; take it as the minimum.
+    seconds = std::isnan(seconds) ? 0.1 : std::clamp(seconds, 0.1, 30.0);
     hz = std::clamp(hz, 1u, 1000u);
     const bool speedscope =
         query.find("format=speedscope") != std::string::npos;
@@ -1169,9 +1181,7 @@ InferenceServer::watchdogLoop()
             obs::EventLog::global().emit(
                 obs::LogLevel::kError, "serve.watchdog.trip",
                 {{"worker", std::to_string(i)},
-                 {"stage",
-                  std::string(state.stage.load(
-                      std::memory_order_relaxed))},
+                 {"stage", state.stageName()},
                  {"elapsed_ms",
                   std::to_string(elapsedNs / 1'000'000ULL)},
                  {"batch", std::to_string(batch)},

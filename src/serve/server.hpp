@@ -71,8 +71,8 @@
  *
  * The watchdog thread checks every worker's in-flight batch against
  * deadline; a stall logs a watchdog.trip event carrying the
- * worker's current stage and a span-rollup dump (once per stuck
- * batch), and increments serve.watchdog.trips.
+ * worker's current stage (a ReqStage name) and a span-rollup dump
+ * (once per stuck batch), and increments serve.watchdog.trips.
  */
 
 #ifndef LOOKHD_SERVE_SERVER_HPP
@@ -116,15 +116,6 @@ struct ServeConfig
 
     /** Max requests dispatched to a worker as one batch. */
     std::size_t batchMaxSize = 16;
-
-    /**
-     * Threads each worker spends on one batch's predictions
-     * (Classifier::scoresBatch): 1 = the worker thread alone
-     * (default), 0 = one per hardware thread. Results are identical
-     * for every value; this only trades worker-level for intra-batch
-     * parallelism.
-     */
-    std::size_t predictThreads = 1;
 
     /**
      * Serving arithmetic: "auto" (int8 when the loaded model carries

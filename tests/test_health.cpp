@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -396,6 +397,18 @@ TEST_F(HealthTest, HealthAndWindowsJsonParse)
     EXPECT_EQ(clipped->find("windows")->array.size(), 1u);
     EXPECT_EQ(clipped->find("windows")->array[0].find("seq")->number,
               2.0);
+
+    // Spans beyond size_t (or infinite) keep every window instead of
+    // wrapping through a double->integer cast.
+    for (const double huge :
+         {std::numeric_limits<double>::infinity(), 1e300}) {
+        JsonWriter wh;
+        mon.writeWindowsJson(wh, huge);
+        const auto all = serve::parseJson(wh.str(), error);
+        ASSERT_NE(all, nullptr) << error;
+        EXPECT_EQ(all->find("count")->number, 2.0) << huge;
+        EXPECT_EQ(all->find("windows")->array.size(), 2u) << huge;
+    }
 }
 
 TEST_F(HealthTest, DisabledRulesNeverUnready)

@@ -4,7 +4,9 @@
  * through scores()/scoresBatch(), batch-vs-single bit identity,
  * cross-impl bit identity of the quantized paths, agreement of the
  * quantized predictions with the float path, and the attach /
- * on-demand-build lifecycle.
+ * on-demand-build lifecycle. The BinaryModel cases check the sign
+ * rows as the Sec. VII binary baseline, the QuantizedModel cases the
+ * b-bit study form (fromClassModelBits()).
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +16,12 @@
 #include <vector>
 
 #include "data/synthetic.hpp"
+#include "hdc/encoder.hpp"
 #include "hdc/kernels.hpp"
+#include "hdc/similarity.hpp"
+#include "hdc/trainer.hpp"
 #include "lookhd/classifier.hpp"
+#include "quant/equalized_quantizer.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -256,6 +262,237 @@ TEST(QuantizedServing, PrecisionNamesRoundTrip)
     EXPECT_FALSE(precisionFromName("float32").has_value());
     EXPECT_FALSE(precisionFromName("").has_value());
     EXPECT_FALSE(precisionFromName("INT8").has_value());
+}
+
+/** Scores of one query on the binary (sign) rows. */
+std::vector<double>
+binaryScores(const QuantizedServingModel &qm, const hdc::IntHv &query)
+{
+    const hdc::IntHv *qp = &query;
+    return qm.scoresBatchBinary(&qp, 1);
+}
+
+/** Scores of one query on the int8 (level) rows. */
+std::vector<double>
+levelScores(const QuantizedServingModel &qm, const hdc::IntHv &query)
+{
+    const hdc::IntHv *qp = &query;
+    return qm.scoresBatchI8(&qp, 1);
+}
+
+/** A normalized model with the given integer class rows. */
+hdc::ClassModel
+modelOf(hdc::Dim dim, const std::vector<hdc::IntHv> &classes)
+{
+    hdc::ClassModel model(dim, classes.size());
+    for (std::size_t c = 0; c < classes.size(); ++c)
+        model.classHv(c) = classes[c];
+    model.normalize();
+    return model;
+}
+
+TEST(BinaryModel, BinarizesSigns)
+{
+    const auto qm = QuantizedServingModel::fromClassModel(
+        modelOf(4, {{3, -2, 0, 7}, {-1, 1, -9, 2}}));
+    EXPECT_EQ(qm.binaryRows()[0].unpack(), (hdc::BipolarHv{1, -1, 1, 1}));
+    EXPECT_EQ(qm.binaryRows()[1].unpack(),
+              (hdc::BipolarHv{-1, 1, -1, 1}));
+}
+
+TEST(BinaryModel, PredictsObviousQueries)
+{
+    hdc::IntHv a(64), b(64);
+    for (std::size_t i = 0; i < 64; ++i) {
+        a[i] = i % 2 ? 5 : -5;
+        b[i] = i % 2 ? -5 : 5;
+    }
+    const auto qm = QuantizedServingModel::fromClassModel(modelOf(64, {a, b}));
+    EXPECT_EQ(hdc::argmax(binaryScores(qm, a)), 0u);
+    EXPECT_EQ(hdc::argmax(binaryScores(qm, b)), 1u);
+}
+
+TEST(BinaryModel, ScoresAreHammingFractions)
+{
+    // A score is the +-1 dot 2 * matches - D, so it ranks like the
+    // Hamming fraction matches / D = (score + D) / 2D.
+    const auto qm = QuantizedServingModel::fromClassModel(
+        modelOf(8, {{1, 1, 1, 1, -1, -1, -1, -1},
+                    {1, 1, 1, 1, 1, 1, -1, -1}}));
+    const auto s = binaryScores(qm, {1, 1, 1, 1, 1, 1, 1, 1});
+    ASSERT_EQ(s.size(), 2u);
+    EXPECT_DOUBLE_EQ((s[0] + 8.0) / 16.0, 0.5);
+    EXPECT_DOUBLE_EQ((s[1] + 8.0) / 16.0, 0.75);
+    EXPECT_EQ(hdc::argmax(s), 1u);
+}
+
+TEST(BinaryModel, SizeIsOneBitPerDimension)
+{
+    hdc::ClassModel model(2000, 26);
+    model.normalize();
+    const auto qm = QuantizedServingModel::fromClassModel(model);
+    EXPECT_EQ(qm.binarySizeBytes(), (26u * 2000u + 7u) / 8u);
+    for (const hdc::PackedHv &row : qm.binaryRows())
+        EXPECT_EQ(row.words(), (2000u + 63u) / 64u);
+    // 32x smaller than the int32 model.
+    EXPECT_LT(qm.binarySizeBytes() * 30, model.sizeBytes());
+}
+
+TEST(BinaryModel, LosesAccuracyVersusNonBinaryOnHardProblem)
+{
+    // Sec. VII: binary models give up accuracy on practical (noisy,
+    // weakly separated) workloads.
+    data::SyntheticSpec spec;
+    spec.numFeatures = 60;
+    spec.numClasses = 6;
+    spec.classSeparation = 0.35;
+    spec.labelNoise = 0.05;
+    spec.seed = 23;
+    auto [train, test] = data::makeTrainTest(spec, 600, 300);
+
+    util::Rng rng(29);
+    auto levels = std::make_shared<hdc::LevelMemory>(2000, 4, rng);
+    auto quant = std::make_shared<quant::EqualizedQuantizer>(4);
+    const auto vals = train.allValues();
+    quant->fit(std::vector<double>(vals.begin(), vals.end()));
+    hdc::BaselineEncoder encoder(levels, quant);
+
+    hdc::BaselineTrainer trainer(encoder);
+    hdc::TrainOptions opts;
+    opts.retrainEpochs = 5;
+    const hdc::TrainResult result = trainer.train(train, opts);
+
+    const double full_acc = trainer.evaluate(result.model, test);
+    const auto qm = QuantizedServingModel::fromClassModel(result.model);
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < test.size(); ++i)
+        correct += hdc::argmax(binaryScores(
+                       qm, encoder.encode(test.row(i)))) ==
+                   test.label(i);
+    const double bin_acc =
+        static_cast<double>(correct) / static_cast<double>(test.size());
+    EXPECT_LE(bin_acc, full_acc + 0.02);
+}
+
+/** A trained uncompressed model plus its test data. */
+struct Trained
+{
+    data::Dataset test;
+    Classifier clf;
+
+    explicit Trained(std::uint64_t seed) : test(1, 1), clf([] {
+        ClassifierConfig cfg;
+        cfg.dim = 1000;
+        cfg.quantLevels = 4;
+        cfg.compressModel = false;
+        cfg.retrainEpochs = 3;
+        return cfg;
+    }())
+    {
+        data::SyntheticSpec spec;
+        spec.numFeatures = 40;
+        spec.numClasses = 5;
+        spec.classSeparation = 0.9;
+        spec.informativeFraction = 0.6;
+        spec.seed = seed;
+        data::SyntheticProblem problem(spec);
+        const data::Dataset train = problem.sample(400);
+        test = problem.sample(200);
+        clf.fit(train);
+    }
+
+    QuantizedServingModel
+    bits(std::size_t b) const
+    {
+        return QuantizedServingModel::fromClassModelBits(
+            clf.uncompressedModel(), b);
+    }
+
+    double
+    accuracy(const QuantizedServingModel &model) const
+    {
+        std::size_t ok = 0;
+        for (std::size_t i = 0; i < test.size(); ++i)
+            ok += hdc::argmax(levelScores(
+                      model, clf.encoder().encode(test.row(i)))) ==
+                  test.label(i);
+        return static_cast<double>(ok) /
+               static_cast<double>(test.size());
+    }
+};
+
+TEST(QuantizedModel, ElementsWithinLevelRange)
+{
+    Trained t(1);
+    for (std::size_t bits : {1u, 2u, 4u, 8u}) {
+        const QuantizedServingModel qm = t.bits(bits);
+        const int max_level = bits == 1 ? 1 : (1 << (bits - 1)) - 1;
+        for (const std::int8_t v : qm.int8Rows()) {
+            EXPECT_GE(v, -max_level);
+            EXPECT_LE(v, max_level);
+        }
+    }
+}
+
+TEST(QuantizedModel, HighBitsMatchFullModel)
+{
+    Trained t(3);
+    const QuantizedServingModel qm = t.bits(8);
+    std::size_t agree = 0;
+    for (std::size_t i = 0; i < t.test.size(); ++i) {
+        const hdc::IntHv q = t.clf.encoder().encode(t.test.row(i));
+        agree += hdc::argmax(levelScores(qm, q)) ==
+                 t.clf.uncompressedModel().predict(q);
+    }
+    EXPECT_GT(static_cast<double>(agree) /
+                  static_cast<double>(t.test.size()),
+              0.98);
+}
+
+TEST(QuantizedModel, AccuracyMonotoneInBitsRoughly)
+{
+    Trained t(5);
+    const double a1 = t.accuracy(t.bits(1));
+    const double a4 = t.accuracy(t.bits(4));
+    const double a8 = t.accuracy(t.bits(8));
+    EXPECT_GE(a4, a1 - 0.03);
+    EXPECT_GE(a8, a4 - 0.03);
+    EXPECT_GT(a8, 0.8);
+}
+
+TEST(QuantizedModel, SizeShrinksWithBits)
+{
+    Trained t(7);
+    const hdc::ClassModel &full = t.clf.uncompressedModel();
+    const QuantizedServingModel q8 = t.bits(8);
+    const QuantizedServingModel q2 = t.bits(2);
+    EXPECT_LT(q8.sizeBytes(), full.sizeBytes());
+    EXPECT_LT(q2.sizeBytes(), q8.sizeBytes());
+    // 2-bit is ~16x smaller than int32 (plus tiny per-class scales).
+    EXPECT_LT(q2.sizeBytes(), full.sizeBytes() / 10);
+}
+
+TEST(QuantizedModel, OneBitRanksLikeBinaryModel)
+{
+    Trained t(9);
+    const QuantizedServingModel q1 = t.bits(1);
+    for (const std::int8_t v : q1.int8Rows())
+        EXPECT_TRUE(v == 1 || v == -1);
+    // The 1-bit levels are the sign rows.
+    for (std::size_t c = 0; c < q1.numClasses(); ++c)
+        for (std::size_t i = 0; i < q1.dim(); ++i)
+            EXPECT_EQ(q1.int8Rows()[c * q1.dim() + i],
+                      q1.binaryRows()[c].at(i));
+}
+
+TEST(QuantizedModel, Validation)
+{
+    Trained t(11);
+    EXPECT_THROW(t.bits(0), util::ContractViolation);
+    EXPECT_THROW(t.bits(9), util::ContractViolation);
+    const QuantizedServingModel qm = t.bits(4);
+    EXPECT_THROW(levelScores(qm, hdc::IntHv(10, 0)),
+                 util::ContractViolation);
 }
 
 } // namespace

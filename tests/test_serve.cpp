@@ -1019,4 +1019,51 @@ TEST(ServeBatching, QueuedRequestsFormOneBatchBehindBusyWorker)
     EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 4, 2}));
 }
 
+TEST(ServeDebug, InflightReportsTheWorkersRequestStage)
+{
+    // A worker stalled in its batch hook reports the ReqStage it is
+    // in on /debug/inflight, and "idle" once the batch is done.
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.batchHook = [&](std::size_t) {
+        entered.store(true);
+        while (!release.load())
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    };
+    serve::InferenceServer server(trainedClassifier(), cfg);
+    server.start();
+    const auto workerStage = [&] {
+        std::string status;
+        std::string error;
+        const auto doc = serve::parseJson(
+            httpGet(server.metricsPort(), "/debug/inflight", &status),
+            error);
+        if (doc == nullptr || doc->find("workers") == nullptr ||
+            doc->find("workers")->array.empty())
+            return std::string("<bad /debug/inflight: ") + error + ">";
+        return doc->find("workers")->array[0].find("stage")->string;
+    };
+
+    serve::TcpStream stream =
+        serve::TcpStream::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(stream.sendAll(
+        requestLine(1, std::vector<double>(12, 0.5)) + "\n"));
+    const bool stalled = pollFor5s([&] { return entered.load(); });
+    const std::string during = workerStage();
+    release.store(true);
+    ASSERT_TRUE(stalled) << "the request never reached the worker";
+    EXPECT_EQ(during, obs::reqStageName(obs::ReqStage::kBatchForm));
+
+    std::string line;
+    ASSERT_TRUE(stream.readLine(line));
+    std::string after;
+    EXPECT_TRUE(pollFor5s([&] {
+        after = workerStage();
+        return after == "idle";
+    })) << after;
+    server.stop();
+}
+
 } // namespace

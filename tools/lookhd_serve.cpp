@@ -5,7 +5,7 @@
  * Usage:
  *   lookhd_serve --model model.bin
  *                [--port 7070] [--metrics-port 7071]
- *                [--workers 2] [--batch-max 16] [--threads 1]
+ *                [--workers 2] [--batch-max 16]
  *                [--precision auto] [--queue-cap 1024]
  *                [--watchdog-ms 2000]
  *                [--slow-ms 100] [--sample-every N]
@@ -58,8 +58,7 @@ constexpr const char *kUsage =
     "usage: lookhd_serve --model model.bin\n"
     "                    [--port 7070] [--metrics-port 7071]\n"
     "                    [--workers 2] [--batch-max 16]\n"
-    "                    [--threads 1] [--precision auto]\n"
-    "                    [--queue-cap 1024]\n"
+    "                    [--precision auto] [--queue-cap 1024]\n"
     "                    [--watchdog-ms 2000]\n"
     "                    [--slow-ms 100] [--sample-every N]\n"
     "                    [--slow-log slow.jsonl]\n"
@@ -86,9 +85,6 @@ constexpr const char *kUsage =
     "  --batch-max N       most queued requests a free worker takes\n"
     "                      as one batch; it starts at once and never\n"
     "                      waits for a batch to fill\n"
-    "  --threads N         prediction threads per worker batch\n"
-    "                      (1 = the worker alone, 0 = one per\n"
-    "                      hardware thread); results are identical\n"
     "  --precision P       serving arithmetic: auto (int8 when the\n"
     "                      model carries quantized forms, float64\n"
     "                      otherwise), float64, int8, or binary;\n"
@@ -219,8 +215,6 @@ main(int argc, char **argv)
             static_cast<std::size_t>(args.getInt("workers", 2));
         cfg.batchMaxSize =
             static_cast<std::size_t>(args.getInt("batch-max", 16));
-        cfg.predictThreads =
-            static_cast<std::size_t>(args.getInt("threads", 1));
         cfg.precision = args.get("precision", "auto");
         cfg.queueCapacity =
             static_cast<std::size_t>(args.getInt("queue-cap", 1024));

@@ -75,6 +75,13 @@ BENCH_RULES = {
                     "speedup_batch_vs_scalar"),
         "config": ("kernel", "threads", "dim", "classes"),
     },
+    "binary_vs_lookhd": {
+        "metrics": tuple(f"accuracy_{model}_{app}"
+                         for model in ("lookhd", "binary")
+                         for app in ("SPEECH", "ACTIVITY", "PHYSICAL",
+                                     "FACE", "EXTRA")),
+        "config": (),
+    },
     "quantized_predict": {
         "metrics": ("accuracy_float64", "accuracy_int8",
                     "accuracy_binary", "accuracy_delta_int8",
