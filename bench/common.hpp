@@ -91,9 +91,8 @@ banner(const std::string &what)
  * `BENCH_<name>.json` (schema `lookhd-bench-v2`, checked by
  * tools/validate_bench_json.py): the bench's headline metrics, its
  * config, the full metric registry, the span rollup, the quality
- * telemetry (confusion counters + margin histograms) and, when
- * --perf is given on Linux, hardware perf counters per span. This is
- * the trajectory format tools/bench_compare.py diffs against
+ * telemetry (confusion counters + margin histograms). This is the
+ * trajectory format tools/bench_compare.py diffs against
  * bench/baselines/.
  *
  * Recognized CLI arguments (unknown ones are ignored so benches can
@@ -101,12 +100,8 @@ banner(const std::string &what)
  *   --out-dir DIR    where BENCH_<name>.json lands (default: cwd)
  *   --git-rev REV    recorded in the JSON (or env LOOKHD_GIT_REV)
  *   --quick          shrink bench::gScale for CI smoke runs
- *   --trace-out F    also record spans and write a Chrome trace
- *   --perf           attach perf_event counters to spans (Linux;
- *                    silently absent when the kernel refuses)
  *   --profile-out F  sample the bench with the CPU profiler
- *                    (obs/profiler.hpp) and write speedscope JSON
- *                    (.json) or collapsed stacks (anything else)
+ *                    (obs/profiler.hpp) and write collapsed stacks
  *   --profile-hz N   profiler sampling rate (default 99)
  */
 class BenchReporter
@@ -127,8 +122,6 @@ class BenchReporter
                 outDir_ = next();
             else if (arg == "--git-rev")
                 gitRev_ = next();
-            else if (arg == "--trace-out")
-                traceOut_ = next();
             else if (arg == "--profile-out")
                 profileOut_ = next();
             else if (arg == "--profile-hz")
@@ -136,15 +129,9 @@ class BenchReporter
                                           10);
             else if (arg == "--quick")
                 quick_ = true;
-            else if (arg == "--perf")
-                perf_ = true;
         }
         if (quick_)
             gScale = SampleScale{8, 4};
-        if (!traceOut_.empty())
-            obs::setTracing(true);
-        if (perf_)
-            obs::setPerfCounters(true);
         if (!profileOut_.empty()) {
             obs::Profiler::registerCurrentThread();
             obs::ProfileOptions opts;
@@ -192,7 +179,7 @@ class BenchReporter
         metrics_[key] = value;
     }
 
-    /** Emit BENCH_<name>.json (and the Chrome trace if requested). */
+    /** Emit BENCH_<name>.json (and the profile if requested). */
     void
     write()
     {
@@ -230,8 +217,6 @@ class BenchReporter
         w.endArray();
         w.key("quality");
         obs::QualityTelemetry::global().writeJson(w);
-        w.key("perf_counters");
-        obs::writePerfJson(w);
         w.endObject();
 
         const std::string path = outPath();
@@ -246,23 +231,11 @@ class BenchReporter
         std::fclose(f);
         std::printf("\n[bench json: %s]\n", path.c_str());
 
-        if (!traceOut_.empty() &&
-            !obs::writeChromeTraceFile(traceOut_)) {
-            std::fprintf(stderr, "BenchReporter: cannot write %s\n",
-                         traceOut_.c_str());
-        }
-
         if (!profileOut_.empty()) {
             obs::Profiler &profiler = obs::Profiler::global();
             profiler.stop();
             const obs::ProfileReport report = profiler.collect();
-            const bool speedscope =
-                profileOut_.size() >= 5 &&
-                profileOut_.compare(profileOut_.size() - 5, 5,
-                                    ".json") == 0;
-            const std::string doc =
-                speedscope ? report.speedscopeJson() + "\n"
-                           : report.collapsed();
+            const std::string doc = report.collapsed();
             std::FILE *pf = std::fopen(profileOut_.c_str(), "w");
             if (pf == nullptr) {
                 std::fprintf(stderr,
@@ -288,11 +261,9 @@ class BenchReporter
     std::string name_;
     std::string outDir_;
     std::string gitRev_ = "unknown";
-    std::string traceOut_;
     std::string profileOut_;
     unsigned long profileHz_ = 0;
     bool quick_ = false;
-    bool perf_ = false;
     bool written_ = false;
     std::map<std::string, std::variant<std::string, double>> config_;
     std::map<std::string, double> metrics_;

@@ -19,12 +19,10 @@
 
 // HDC substrate
 #include "hdc/bitpack.hpp"
-#include "hdc/clustering.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/hypervector.hpp"
 #include "hdc/item_memory.hpp"
 #include "hdc/model.hpp"
-#include "hdc/ngram_encoder.hpp"
 #include "hdc/online_trainer.hpp"
 #include "hdc/record_encoder.hpp"
 #include "hdc/similarity.hpp"

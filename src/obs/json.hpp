@@ -3,7 +3,7 @@
  * Minimal streaming JSON writer used by the observability exports.
  *
  * The telemetry layer emits machine-readable artifacts (metric
- * registry snapshots, Chrome trace_event files, BENCH_*.json) without
+ * registry snapshots, /debug documents, BENCH_*.json) without
  * pulling in a JSON dependency. This writer covers exactly what those
  * exports need: nested objects/arrays with automatic comma handling,
  * escaped strings, and finite-number formatting (non-finite doubles

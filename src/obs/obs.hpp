@@ -26,7 +26,6 @@
 #define LOOKHD_OBS_OBS_HPP
 
 #include "obs/metrics.hpp"
-#include "obs/perfcounters.hpp"
 #include "obs/quality.hpp"
 #include "obs/trace.hpp"
 

@@ -9,7 +9,6 @@
 #include <memory>
 #include <thread>
 
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_annotations.hpp"
@@ -82,67 +81,6 @@ ProfileReport::collapsed() const
         out += line + ' ' + std::to_string(stack.samples) + '\n';
     }
     return out;
-}
-
-std::string
-ProfileReport::speedscopeJson() const
-{
-    // One shared frame table, stacks as index lists (root first),
-    // weights in nanoseconds of estimated CPU time.
-    std::map<std::string, std::uint64_t> frameIndex;
-    std::vector<const std::string *> frameOrder;
-    for (const ProfileStack &stack : stacks) {
-        for (const std::string &frame : stack.frames) {
-            if (frameIndex.emplace(frame, frameOrder.size())
-                    .second)
-                frameOrder.push_back(
-                    &frameIndex.find(frame)->first);
-        }
-    }
-    const std::uint64_t period = periodNs();
-    std::uint64_t total = 0;
-    for (const ProfileStack &stack : stacks)
-        total += stack.samples * period;
-
-    JsonWriter w;
-    w.beginObject();
-    w.kv("$schema",
-         "https://www.speedscope.app/file-format-schema.json");
-    w.kv("exporter", "lookhd");
-    w.kv("name", "lookhd cpu profile");
-    w.kv("activeProfileIndex", std::uint64_t{0});
-    w.key("shared").beginObject();
-    w.key("frames").beginArray();
-    for (const std::string *frame : frameOrder) {
-        w.beginObject();
-        w.kv("name", *frame);
-        w.endObject();
-    }
-    w.endArray();
-    w.endObject();
-    w.key("profiles").beginArray();
-    w.beginObject();
-    w.kv("type", "sampled");
-    w.kv("name", "cpu");
-    w.kv("unit", "nanoseconds");
-    w.kv("startValue", std::uint64_t{0});
-    w.kv("endValue", total);
-    w.key("samples").beginArray();
-    for (const ProfileStack &stack : stacks) {
-        w.beginArray();
-        for (const std::string &frame : stack.frames)
-            w.value(frameIndex[frame]);
-        w.endArray();
-    }
-    w.endArray();
-    w.key("weights").beginArray();
-    for (const ProfileStack &stack : stacks)
-        w.value(stack.samples * period);
-    w.endArray();
-    w.endObject();
-    w.endArray();
-    w.endObject();
-    return w.str();
 }
 
 #if LOOKHD_PROFILER_AVAILABLE

@@ -20,8 +20,7 @@
  * collect() symbolizes unique addresses once (dladdr +
  * abi::__cxa_demangle; executables set CMAKE_ENABLE_EXPORTS so their
  * extern symbols are visible to dladdr) and builds a ProfileReport
- * exporting Brendan Gregg collapsed stacks (flamegraph.pl-ready) and
- * speedscope JSON.
+ * exporting Brendan Gregg collapsed stacks (flamegraph.pl-ready).
  *
  * Stage attribution: the serving pipeline publishes its current
  * ReqStage through profilerPublishStage(), so every sample lands in
@@ -192,9 +191,6 @@ struct ProfileReport
     /** Brendan Gregg collapsed stacks: `frame;frame;... count`
      * lines, hottest stack first; feed to flamegraph.pl. */
     std::string collapsed() const;
-
-    /** speedscope.app "sampled" profile JSON (unit: nanoseconds). */
-    std::string speedscopeJson() const;
 };
 
 /**
@@ -252,8 +248,8 @@ class Profiler
     /**
      * One bounded foreground session: start at @p hz, drain every
      * few ms for @p seconds, stop, collect. Blocks the calling
-     * thread for the window (the /debug/profile contract, like
-     * /debug/trace). @return an empty report when a session is
+     * thread for the window (the /debug/profile contract).
+     * @return an empty report when a session is
      * already running or the profiler is compiled out.
      */
     ProfileReport profileFor(double seconds,

@@ -1,12 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
-#include <ostream>
 
-#include "obs/json.hpp"
-#include "obs/perfcounters.hpp"
 #include "obs/profiler.hpp"
 #include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
@@ -15,120 +11,24 @@ namespace lookhd::obs {
 
 namespace {
 
-/** Events kept per thread before the ring starts overwriting. */
-constexpr std::size_t kRingCapacity = 1 << 14;
-
 std::atomic<bool> gEnabled{true};
-std::atomic<bool> gTracing{false};
 
-struct ThreadTrace;
+/** Innermost open span of the calling thread. */
+thread_local TraceSpan *tCurrent = nullptr;
 
-/**
- * Process-wide trace state. Deliberately leaked so thread_local
- * ThreadTrace destructors (which run at unpredictable points during
- * shutdown) can always reach it.
- */
-struct TraceRegistry
+/** Every registered site. Deliberately leaked: sites are statics
+ * whose destruction order is unknown. */
+struct SiteRegistry
 {
     util::Mutex mutex;
     std::vector<SpanSite *> sites LOOKHD_GUARDED_BY(mutex);
-    std::vector<ThreadTrace *> threads LOOKHD_GUARDED_BY(mutex);
-    /** Events from threads that have already exited. */
-    std::vector<std::pair<std::uint64_t, std::vector<TraceEvent>>>
-        retired LOOKHD_GUARDED_BY(mutex);
-    std::uint64_t nextTid LOOKHD_GUARDED_BY(mutex) = 1;
 };
 
-TraceRegistry &
+SiteRegistry &
 registry()
 {
-    static auto *r = new TraceRegistry;
+    static auto *r = new SiteRegistry;
     return *r;
-}
-
-/** Per-thread span stack and event ring. */
-struct ThreadTrace
-{
-    util::Mutex mutex;
-    std::vector<TraceEvent> ring LOOKHD_GUARDED_BY(mutex);
-    /** Ring write cursor. */
-    std::size_t next LOOKHD_GUARDED_BY(mutex) = 0;
-    /** Lifetime events (>= ring.size()). */
-    std::uint64_t recorded LOOKHD_GUARDED_BY(mutex) = 0;
-    /** Written once at construction, immutable after. */
-    std::uint64_t tid = 0;
-    /** Owner-thread private: only the owning thread ever touches the
-     * span stack, so it needs no capability. */
-    TraceSpan *current = nullptr;
-
-    ThreadTrace()
-    {
-        auto &reg = registry();
-        const util::MutexLock lock(reg.mutex);
-        tid = reg.nextTid++;
-        reg.threads.push_back(this);
-    }
-
-    ~ThreadTrace()
-    {
-        auto &reg = registry();
-        const util::MutexLock lock(reg.mutex);
-        reg.threads.erase(std::remove(reg.threads.begin(),
-                                      reg.threads.end(), this),
-                          reg.threads.end());
-        std::vector<TraceEvent> events;
-        {
-            const util::MutexLock tlock(mutex);
-            events = eventsInOrder();
-        }
-        if (!events.empty())
-            reg.retired.emplace_back(tid, std::move(events));
-    }
-
-    void
-    push(const TraceEvent &ev)
-    {
-        const util::MutexLock lock(mutex);
-        if (ring.size() < kRingCapacity) {
-            ring.push_back(ev);
-        } else {
-            ring[next] = ev;
-            next = (next + 1) % kRingCapacity;
-        }
-        ++recorded;
-    }
-
-    /** Ring contents, oldest first. */
-    std::vector<TraceEvent>
-    eventsInOrder() LOOKHD_REQUIRES(mutex)
-    {
-        std::vector<TraceEvent> out;
-        out.reserve(ring.size());
-        for (std::size_t i = 0; i < ring.size(); ++i)
-            out.push_back(ring[(next + i) % ring.size()]);
-        return out;
-    }
-};
-
-ThreadTrace &
-threadTrace()
-{
-    thread_local ThreadTrace tt;
-    return tt;
-}
-
-void
-writeEventJson(JsonWriter &w, std::uint64_t tid, const TraceEvent &ev)
-{
-    w.beginObject();
-    w.kv("name", ev.site->name());
-    w.kv("cat", ev.site->category());
-    w.kv("ph", "X");
-    w.kv("ts", static_cast<double>(ev.startNs) / 1e3);
-    w.kv("dur", static_cast<double>(ev.durNs) / 1e3);
-    w.kv("pid", std::uint64_t{1});
-    w.kv("tid", tid);
-    w.endObject();
 }
 
 } // namespace
@@ -142,30 +42,11 @@ SpanSite::SpanSite(const char *name, const char *category)
 }
 
 void
-SpanSite::accumulatePerf(const std::uint64_t *delta,
-                         std::uint32_t mask)
-{
-    if (mask == 0)
-        return;
-    for (std::size_t i = 0; i < kPerfEventSlots; ++i) {
-        if (mask & (1u << i))
-            perfTotals_[i].fetch_add(delta[i],
-                                     std::memory_order_relaxed);
-    }
-    perfSamples_.fetch_add(1, std::memory_order_relaxed);
-    perfMask_.fetch_or(mask, std::memory_order_relaxed);
-}
-
-void
 SpanSite::reset()
 {
     count_.store(0, std::memory_order_relaxed);
     totalNs_.store(0, std::memory_order_relaxed);
     selfNs_.store(0, std::memory_order_relaxed);
-    perfSamples_.store(0, std::memory_order_relaxed);
-    for (auto &t : perfTotals_)
-        t.store(0, std::memory_order_relaxed);
-    perfMask_.store(0, std::memory_order_relaxed);
 }
 
 std::vector<SpanStats>
@@ -204,14 +85,6 @@ spanRollup()
     return out;
 }
 
-std::vector<SpanSite *>
-spanSites()
-{
-    auto &reg = registry();
-    const util::MutexLock lock(reg.mutex);
-    return reg.sites;
-}
-
 std::uint64_t
 totalNsOf(const std::vector<SpanStats> &rollup, const std::string &name)
 {
@@ -229,13 +102,6 @@ resetSpans()
     const util::MutexLock lock(reg.mutex);
     for (SpanSite *site : reg.sites)
         site->reset();
-    for (ThreadTrace *tt : reg.threads) {
-        const util::MutexLock tlock(tt->mutex);
-        tt->ring.clear();
-        tt->next = 0;
-        tt->recorded = 0;
-    }
-    reg.retired.clear();
 }
 
 void
@@ -250,18 +116,6 @@ enabled()
     return gEnabled.load(std::memory_order_relaxed);
 }
 
-void
-setTracing(bool on)
-{
-    gTracing.store(on, std::memory_order_relaxed);
-}
-
-bool
-tracing()
-{
-    return gTracing.load(std::memory_order_relaxed);
-}
-
 TraceSpan::TraceSpan(SpanSite &site)
 {
     if (!enabled()) {
@@ -269,90 +123,23 @@ TraceSpan::TraceSpan(SpanSite &site)
         return;
     }
     site_ = &site;
-    ThreadTrace &tt = threadTrace();
-    parent_ = tt.current;
-    tt.current = this;
+    parent_ = tCurrent;
+    tCurrent = this;
     profilerPublishSite(site_);
-    depth_ = parent_ ? parent_->depth_ + 1 : 0;
     startNs_ = util::Timer::processNanoseconds();
-    // Span-opt-in hardware sampling: one relaxed load when off.
-    if (perfCounters())
-        perfMask_ = detail::readPerfSnapshot(perfStart_);
 }
 
 TraceSpan::~TraceSpan()
 {
     if (!site_)
         return;
-    const std::uint64_t end = util::Timer::processNanoseconds();
-    const std::uint64_t dur = end - startNs_;
+    const std::uint64_t dur =
+        util::Timer::processNanoseconds() - startNs_;
     site_->accumulate(dur, dur - std::min(childNs_, dur));
-    if (perfMask_ != 0) {
-        std::uint64_t now[kPerfEventSlots];
-        const std::uint32_t mask =
-            perfMask_ & detail::readPerfSnapshot(now);
-        if (mask != 0) {
-            std::uint64_t delta[kPerfEventSlots] = {};
-            for (std::size_t i = 0; i < kPerfEventSlots; ++i) {
-                if (mask & (1u << i))
-                    delta[i] = now[i] - perfStart_[i];
-            }
-            site_->accumulatePerf(delta, mask);
-        }
-    }
     if (parent_)
         parent_->childNs_ += dur;
-    ThreadTrace &tt = threadTrace();
-    tt.current = parent_;
+    tCurrent = parent_;
     profilerPublishSite(parent_ ? parent_->site_ : nullptr);
-    if (tracing())
-        tt.push({site_, startNs_, dur, depth_});
-}
-
-void
-writeChromeTrace(std::ostream &out)
-{
-    auto &reg = registry();
-    JsonWriter w;
-    std::uint64_t dropped = 0;
-    w.beginObject();
-    w.key("traceEvents").beginArray();
-    {
-        const util::MutexLock lock(reg.mutex);
-        for (ThreadTrace *tt : reg.threads) {
-            std::vector<TraceEvent> events;
-            std::uint64_t recorded = 0;
-            {
-                const util::MutexLock tlock(tt->mutex);
-                recorded = tt->recorded;
-                events = tt->eventsInOrder();
-            }
-            dropped += recorded - events.size();
-            for (const TraceEvent &ev : events)
-                writeEventJson(w, tt->tid, ev);
-        }
-        for (const auto &[tid, events] : reg.retired) {
-            for (const TraceEvent &ev : events)
-                writeEventJson(w, tid, ev);
-        }
-    }
-    w.endArray();
-    w.kv("displayTimeUnit", "ms");
-    w.key("otherData").beginObject();
-    w.kv("dropped_events", dropped);
-    w.endObject();
-    w.endObject();
-    out << w.str();
-}
-
-bool
-writeChromeTraceFile(const std::string &path)
-{
-    std::ofstream out(path);
-    if (!out)
-        return false;
-    writeChromeTrace(out);
-    return bool(out);
 }
 
 } // namespace lookhd::obs

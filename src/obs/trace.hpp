@@ -1,20 +1,14 @@
 /**
  * @file
- * RAII trace spans with nested parenting, per-thread event rings, and
- * Chrome trace_event export.
+ * RAII trace spans with nested parenting and per-site rollups.
  *
- * Two products come out of a span, at two costs:
- *
- *  1. Rollups (always on while enabled()): every span site keeps
- *     lock-free count / total / self-time accumulators, so per-phase
- *     cost attribution (the paper's Fig. 2 breakdown) is measured
- *     from the live instrumentation instead of hand-placed timers.
- *     Self time excludes nested child spans, so a rollup sums to
- *     wall time without double counting.
- *  2. Events (opt-in via setTracing(true)): completed spans are
- *     pushed into a fixed-capacity per-thread ring buffer and can be
- *     exported as Chrome trace_event JSON, viewable in
- *     about:tracing or Perfetto (ui.perfetto.dev).
+ * A span's one product is its rollup: every span site keeps
+ * lock-free count / total / self-time accumulators, so per-phase cost
+ * attribution (the paper's Fig. 2 breakdown) is measured from the
+ * live instrumentation instead of hand-placed timers. Self time
+ * excludes nested child spans, so a rollup sums to wall time without
+ * double counting. The innermost open span of each thread is also
+ * published to the sampling profiler (obs/profiler.hpp).
  *
  * Instrumentation sites use the LOOKHD_SPAN macro from obs/obs.hpp,
  * which compiles to nothing when the library is built with
@@ -31,17 +25,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace lookhd::obs {
-
-/**
- * Hardware-counter slots a span can sample (see obs/perfcounters.hpp
- * for the event list and the opt-in switch).
- */
-inline constexpr std::size_t kPerfEventSlots = 4;
 
 /**
  * Static identity of one instrumentation site, plus its rollup
@@ -84,33 +71,6 @@ class SpanSite
         return selfNs_.load(std::memory_order_relaxed);
     }
 
-    /**
-     * Fold one span's hardware-counter deltas into the rollup.
-     * @p delta has kPerfEventSlots entries; only slots set in
-     * @p mask are accumulated.
-     */
-    void accumulatePerf(const std::uint64_t *delta,
-                        std::uint32_t mask);
-
-    std::uint64_t
-    perfSamples() const
-    {
-        return perfSamples_.load(std::memory_order_relaxed);
-    }
-
-    std::uint64_t
-    perfTotal(std::size_t slot) const
-    {
-        return perfTotals_[slot].load(std::memory_order_relaxed);
-    }
-
-    /** Union of event masks over every accumulated sample. */
-    std::uint32_t
-    perfMask() const
-    {
-        return perfMask_.load(std::memory_order_relaxed);
-    }
-
     void reset();
 
   private:
@@ -119,9 +79,6 @@ class SpanSite
     std::atomic<std::uint64_t> count_{0};
     std::atomic<std::uint64_t> totalNs_{0};
     std::atomic<std::uint64_t> selfNs_{0};
-    std::atomic<std::uint64_t> perfSamples_{0};
-    std::atomic<std::uint64_t> perfTotals_[kPerfEventSlots]{};
-    std::atomic<std::uint32_t> perfMask_{0};
 };
 
 /** Snapshot of one site's rollup. */
@@ -139,37 +96,18 @@ struct SpanStats
 std::vector<SpanStats> spanRollup();
 
 /**
- * Every registered instrumentation site (stable addresses: sites are
- * function-local statics). Used by the perf-counter rollup.
- */
-std::vector<SpanSite *> spanSites();
-
-/**
  * In a rollup snapshot, the totalNs of @p name (0 if absent);
  * convenience for before/after deltas around a measured phase.
  */
 std::uint64_t totalNsOf(const std::vector<SpanStats> &rollup,
                         const std::string &name);
 
-/** Zero every site's rollup and drop all recorded events. */
+/** Zero every site's rollup. */
 void resetSpans();
 
 /** Runtime kill switch for all span work. Default: on. */
 void setEnabled(bool on);
 bool enabled();
-
-/** Opt-in recording of per-span events for trace export. */
-void setTracing(bool on);
-bool tracing();
-
-/** One completed span in a thread's ring buffer. */
-struct TraceEvent
-{
-    const SpanSite *site;
-    std::uint64_t startNs;
-    std::uint64_t durNs;
-    std::uint32_t depth;
-};
 
 /**
  * Scoped span. Construct through LOOKHD_SPAN (obs/obs.hpp) rather
@@ -190,22 +128,7 @@ class TraceSpan
     TraceSpan *parent_ = nullptr;
     std::uint64_t startNs_ = 0;
     std::uint64_t childNs_ = 0;
-    std::uint32_t depth_ = 0;
-    /** Entry counter snapshot; only valid where perfMask_ bits set. */
-    std::uint64_t perfStart_[kPerfEventSlots];
-    std::uint32_t perfMask_ = 0;
 };
-
-/**
- * Export every recorded event as a Chrome trace_event JSON document
- * ({"traceEvents":[...]}; load in about:tracing or Perfetto). Ring
- * overflow drops the oldest events per thread; the number dropped is
- * reported in the document's metadata.
- */
-void writeChromeTrace(std::ostream &out);
-
-/** writeChromeTrace to a file. @return false on I/O failure. */
-bool writeChromeTraceFile(const std::string &path);
 
 } // namespace lookhd::obs
 

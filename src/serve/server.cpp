@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <utility>
 
 #include "hdc/kernels.hpp"
@@ -828,26 +827,6 @@ InferenceServer::debugInflightBody()
 }
 
 std::string
-InferenceServer::debugTraceBody(const std::string &query)
-{
-    std::uint64_t ms = 50;
-    const std::size_t arg = query.find("ms=");
-    if (arg != std::string::npos)
-        ms = std::strtoull(query.c_str() + arg + 3, nullptr, 10);
-    ms = std::clamp<std::uint64_t>(ms, 1, 2000);
-    // Deliberately blocks the scrape thread for the capture window:
-    // one debug endpoint, one caller, bounded at 2 s.
-    const bool wasTracing = obs::tracing();
-    obs::setTracing(true);
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    obs::setTracing(wasTracing);
-    std::ostringstream out;
-    obs::writeChromeTrace(out);
-    out << '\n';
-    return out.str();
-}
-
-std::string
 InferenceServer::debugProfileBody(const std::string &query,
                                   std::string &status,
                                   std::string &contentType)
@@ -867,13 +846,12 @@ InferenceServer::debugProfileBody(const std::string &query,
     if (hzArg != std::string::npos)
         hz = static_cast<unsigned>(std::strtoul(
             query.c_str() + hzArg + 3, nullptr, 10));
-    // Like /debug/trace, the capture deliberately blocks the scrape
-    // thread for the window; clamp so a typo cannot park it.
+    // The capture deliberately blocks the scrape thread for the
+    // window (one debug endpoint, one caller); clamp so a typo cannot
+    // park it.
     // NaN passes std::clamp unchanged; take it as the minimum.
     seconds = std::isnan(seconds) ? 0.1 : std::clamp(seconds, 0.1, 30.0);
     hz = std::clamp(hz, 1u, 1000u);
-    const bool speedscope =
-        query.find("format=speedscope") != std::string::npos;
 
     const obs::ProfileReport report =
         obs::Profiler::global().profileFor(seconds, hz);
@@ -883,10 +861,6 @@ InferenceServer::debugProfileBody(const std::string &query,
         status = "503 Service Unavailable";
         contentType = "text/plain; charset=utf-8";
         return "profiler busy\n";
-    }
-    if (speedscope) {
-        contentType = "application/json";
-        return report.speedscopeJson() + "\n";
     }
     contentType = "text/plain; charset=utf-8";
     return report.collapsed();
@@ -997,9 +971,6 @@ InferenceServer::metricsLoop()
             } else if (path == "/debug/inflight") {
                 contentType = "application/json";
                 body = debugInflightBody();
-            } else if (path == "/debug/trace") {
-                contentType = "application/json";
-                body = debugTraceBody(query);
             } else if (path == "/debug/profile") {
                 body = debugProfileBody(query, status, contentType);
             } else {

@@ -40,16 +40,12 @@
  *   GET /debug/requests  recent slow/sampled requests with their
  *                        full stage breakdown (obs/reqtrace.hpp)
  *   GET /debug/inflight  currently queued + scoring requests, aged
- *   GET /debug/trace?ms=N  time-boxed Chrome trace_event capture of
- *                        live server spans (blocks the scrape
- *                        thread for N ms by design)
- *   GET /debug/profile?seconds=N&hz=H[&format=speedscope]
+ *   GET /debug/profile?seconds=N&hz=H
  *                        blocking CPU-profile capture
  *                        (obs/profiler.hpp): collapsed stacks as
- *                        text/plain by default, speedscope JSON
- *                        with format=speedscope; 503 while another
- *                        profiling session is running, 404 when
- *                        the profiler is compiled out
+ *                        text/plain; 503 while another profiling
+ *                        session is running, 404 when the
+ *                        profiler is compiled out
  *
  * Request tracing: every request carries an obs::RequestContext
  * (128-bit trace id from the request's `trace` field or generated
@@ -267,12 +263,10 @@ class InferenceServer
     /** /debug endpoint bodies, built on the scrape thread. */
     std::string debugRequestsBody() const;
     std::string debugInflightBody();
-    std::string debugTraceBody(const std::string &query);
     std::string debugHealthBody();
     std::string debugWindowsBody(const std::string &query);
     /** Blocking CPU-profile capture; sets @p status / @p contentType
-     * per outcome and format (collapsed = text/plain, speedscope =
-     * application/json, busy = 503). */
+     * per outcome (collapsed stacks = text/plain, busy = 503). */
     std::string debugProfileBody(const std::string &query,
                                  std::string &status,
                                  std::string &contentType);

@@ -10,7 +10,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -303,29 +302,6 @@ TEST(Spans, RuntimeKillSwitchStopsAccumulation)
     const obs::SpanStats *outer = findSpan(while_on, "test.obs.outer");
     ASSERT_NE(outer, nullptr);
     EXPECT_EQ(outer->count, 1u);
-}
-
-TEST(Spans, ChromeTraceExportsRecordedEvents)
-{
-    obs::resetSpans();
-    // Events are opt-in; without tracing the ring stays empty.
-    outerPhase();
-    obs::setTracing(true);
-    outerPhase();
-    obs::setTracing(false);
-    std::ostringstream out;
-    obs::writeChromeTrace(out);
-    const std::string doc = out.str();
-    EXPECT_NE(doc.find("\"traceEvents\":["), std::string::npos);
-    EXPECT_NE(doc.find("\"test.obs.inner\""), std::string::npos);
-    EXPECT_NE(doc.find("\"ph\":\"X\""), std::string::npos);
-    // One enabled outerPhase() = 3 events (outer + 2 inner).
-    std::size_t events = 0;
-    for (std::size_t pos = doc.find("\"ph\":\"X\"");
-         pos != std::string::npos;
-         pos = doc.find("\"ph\":\"X\"", pos + 1))
-        ++events;
-    EXPECT_EQ(events, 3u);
 }
 
 TEST(Spans, ConcurrentSpansAccumulateLosslessly)

@@ -15,7 +15,6 @@
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "obs/perfcounters.hpp"
 #include "obs/quality.hpp"
 #include "obs/trace.hpp"
 
@@ -79,8 +78,8 @@ TEST(ObsGate, ObsClassesStillLinkWhenOff)
     EXPECT_EQ(h.count(), 1u);
 
     obs::JsonWriter w;
-    obs::writePerfJson(w);
-    EXPECT_NE(w.str().find("\"available\""), std::string::npos);
+    obs::QualityTelemetry::global().writeJson(w);
+    EXPECT_NE(w.str().find("\"margins\""), std::string::npos);
 
     EXPECT_NO_THROW(obs::QualityTelemetry::global().toJson());
 }

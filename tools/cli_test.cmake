@@ -127,6 +127,61 @@ foreach(tool TRAIN PREDICT INFO SERVE LOADGEN)
     endif()
 endforeach()
 
+# Every tool rejects what it does not understand: an option it does
+# not read (misspelled or retired) and a number that does not parse
+# in full. Each must exit non-zero and name the offending option.
+# The serve cases carry --max-seconds and a timeout so a regression
+# that accepts them cannot hang the test.
+function(expect_rejected label pattern)
+    execute_process(
+        COMMAND ${ARGN}
+        OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc
+        TIMEOUT 30)
+    if(rc EQUAL 0)
+        message(FATAL_ERROR "${label}: accepted, exit 0:\n${out}")
+    endif()
+    if(NOT err MATCHES "${pattern}")
+        message(FATAL_ERROR
+            "${label}: stderr does not match '${pattern}':\n${err}")
+    endif()
+endfunction()
+
+set(unused "${WORKDIR}/cli_unused_output")
+expect_rejected("train --trace-out" "unknown option --trace-out"
+    "${TRAIN}" --input "${csv}" --output "${unused}"
+    --trace-out "${unused}.json")
+expect_rejected("train --test-fraction 0.2x"
+    "invalid value for --test-fraction: '0.2x'"
+    "${TRAIN}" --input "${csv}" --output "${unused}"
+    --test-fraction 0.2x)
+expect_rejected("predict --trace-out" "unknown option --trace-out"
+    "${PREDICT}" --model "${model}" --input "${csv}"
+    --trace-out "${unused}.json")
+expect_rejected("serve --threads" "unknown option --threads"
+    "${SERVE}" --model "${model}" --port 0 --metrics-port 0
+    --max-seconds 5 --threads 2)
+expect_rejected("serve --bogus-flag" "unknown option --bogus-flag"
+    "${SERVE}" --model "${model}" --port 0 --metrics-port 0
+    --max-seconds 5 --bogus-flag 1)
+expect_rejected("serve --port abc" "invalid value for --port: 'abc'"
+    "${SERVE}" --model "${model}" --port abc --metrics-port 0
+    --max-seconds 5)
+# An empty value does not survive expect_rejected's ARGN list.
+execute_process(
+    COMMAND "${SERVE}" --model "${model}" --port "" --metrics-port 0
+            --max-seconds 5
+    OUTPUT_VARIABLE out ERROR_VARIABLE err RESULT_VARIABLE rc
+    TIMEOUT 30)
+if(rc EQUAL 0 OR NOT err MATCHES "invalid value for --port: ''")
+    message(FATAL_ERROR "serve --port '' not rejected (${rc}):\n${err}")
+endif()
+expect_rejected("loadgen --bogus" "unknown option --bogus"
+    "${LOADGEN}" --port 1 --features 3 --bogus 1)
+expect_rejected("loadgen --port 7x" "invalid value for --port: '7x'"
+    "${LOADGEN}" --port 7x --features 3)
+expect_rejected("info --verbose" "unknown option --verbose"
+    "${INFO}" --model "${model}" --verbose)
+
 # Error paths: bad model file must fail cleanly.
 execute_process(
     COMMAND "${INFO}" --model "${csv}"

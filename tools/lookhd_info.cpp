@@ -28,7 +28,8 @@ main(int argc, char **argv)
 {
     using namespace lookhd;
     try {
-        const tools::Args args(argc, argv, {"help", "version"});
+        const tools::Args args(argc, argv, {"help", "version"},
+                               {"model"});
         if (args.has("help")) {
             std::printf("%s", kUsage);
             return 0;

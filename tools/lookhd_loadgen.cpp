@@ -136,7 +136,9 @@ main(int argc, char **argv)
     try {
         const tools::Args args(
             argc, argv,
-            {"quick", "quiet", "help", "trace", "version"});
+            {"quick", "quiet", "help", "trace", "version"},
+            {"host", "port", "features", "connections", "requests",
+             "seed", "burst", "lo", "hi", "slow-ms", "json-out"});
         if (args.has("help")) {
             std::printf("%s", kUsage);
             return 0;
@@ -146,9 +148,9 @@ main(int argc, char **argv)
 
         const std::string host = args.get("host", "127.0.0.1");
         const auto port = static_cast<std::uint16_t>(
-            std::stoi(args.require("port")));
+            args.requireInt("port"));
         const auto features = static_cast<std::size_t>(
-            std::stol(args.require("features")));
+            args.requireInt("features"));
         std::size_t connections = static_cast<std::size_t>(
             args.getInt("connections", 4));
         std::size_t totalRequests =

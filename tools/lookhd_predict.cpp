@@ -8,14 +8,13 @@
  *                  [--label-first] [--skip-rows N] [--quiet]
  *                  [--metrics-out metrics.json]
  *                  [--quality-out quality.json]
- *                  [--trace-out trace.json]
  *                  [--profile-out profile.txt] [--profile-hz 99]
  *
  * Prints one predicted class index per input row. When the CSV
  * carries labels (it must, structurally), accuracy and macro-F1 are
  * reported on stderr so stdout stays machine-readable. --metrics-out
- * and --trace-out dump the obs metric registry / Chrome trace of the
- * run, as in lookhd_train; --quality-out dumps the quality telemetry
+ * dumps the obs metric registry of the run, as in lookhd_train;
+ * --quality-out dumps the quality telemetry
  * (per-class confusion counters + similarity-margin histograms of
  * this run's predictions; empty under -DLOOKHD_OBS=OFF).
  */
@@ -40,7 +39,6 @@ constexpr const char *kUsage =
     "                      [--label-first] [--skip-rows N] [--quiet]\n"
     "                      [--metrics-out metrics.json]\n"
     "                      [--quality-out quality.json]\n"
-    "                      [--trace-out trace.json]\n"
     "                      [--profile-out profile.txt]\n"
     "                      [--profile-hz 99]\n"
     "\n"
@@ -55,10 +53,8 @@ constexpr const char *kUsage =
     "                      counters + margin histograms) as JSON;\n"
     "                      sections are empty when the build has\n"
     "                      observability compiled out\n"
-    "  --trace-out FILE    record spans, write a Chrome trace\n"
     "  --profile-out FILE  sample the run with the CPU profiler and\n"
-    "                      write speedscope JSON (.json) or\n"
-    "                      collapsed stacks (anything else)\n"
+    "                      write collapsed stacks\n"
     "  --profile-hz N      profiler sampling rate (default 99)\n";
 
 } // namespace
@@ -70,7 +66,11 @@ main(int argc, char **argv)
     try {
         const tools::Args args(argc, argv,
                                {"label-first", "quiet", "help",
-                                "version"});
+                                "version"},
+                               {"model", "input", "threads", "batch",
+                                "skip-rows", "metrics-out",
+                                "quality-out", "profile-out",
+                                "profile-hz"});
         if (args.has("help")) {
             std::printf("%s", kUsage);
             return 0;
@@ -78,9 +78,6 @@ main(int argc, char **argv)
         if (tools::handleVersionFlag(args, "lookhd_predict"))
             return 0;
 
-        const std::string trace_out = args.get("trace-out", "");
-        if (!trace_out.empty())
-            obs::setTracing(true);
         const std::string profile_out = args.get("profile-out", "");
         tools::startProfile(profile_out,
                             args.getInt("profile-hz", 0));
@@ -152,9 +149,6 @@ main(int argc, char **argv)
                 throw std::runtime_error("cannot write " + quality_out);
             out << obs::QualityTelemetry::global().toJson() << "\n";
         }
-        if (!trace_out.empty() &&
-            !obs::writeChromeTraceFile(trace_out))
-            throw std::runtime_error("cannot write " + trace_out);
         tools::writeProfile(profile_out);
         return 0;
     } catch (const std::exception &e) {

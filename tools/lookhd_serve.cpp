@@ -78,10 +78,9 @@ constexpr const char *kUsage =
     "Prometheus text format v0.0.4 on GET /metrics of\n"
     "--metrics-port (plus /metrics.json, /healthz, /livez,\n"
     "/debug/health, /debug/windows?s=N, /debug/requests,\n"
-    "/debug/inflight, /debug/trace?ms=N and\n"
-    "/debug/profile?seconds=N&hz=H). Port 0 picks\n"
-    "a free port; both are announced on stdout. SIGTERM/SIGINT\n"
-    "drains and exits 0.\n"
+    "/debug/inflight and /debug/profile?seconds=N&hz=H).\n"
+    "Port 0 picks a free port; both are announced on stdout.\n"
+    "SIGTERM/SIGINT drains and exits 0.\n"
     "  --batch-max N       most queued requests a free worker takes\n"
     "                      as one batch; it starts at once and never\n"
     "                      waits for a batch to fill\n"
@@ -116,9 +115,8 @@ constexpr const char *kUsage =
     "  --score-delay-us N  artificial per-batch scoring delay\n"
     "                      (load-testing aid)\n"
     "  --profile-out FILE  profile the whole serve run and write\n"
-    "                      speedscope JSON (.json) or collapsed\n"
-    "                      stacks on shutdown (while it runs,\n"
-    "                      /debug/profile answers 503)\n"
+    "                      collapsed stacks on shutdown (while it\n"
+    "                      runs, /debug/profile answers 503)\n"
     "  --profile-hz N      profiler sampling rate (default 99)\n"
     "  --max-seconds N     self-terminate after N seconds (CI belt)\n"
     "  --version           print build identity and exit\n";
@@ -198,7 +196,18 @@ main(int argc, char **argv)
     using namespace lookhd;
     try {
         const tools::Args args(argc, argv,
-                               {"quiet", "help", "version"});
+                               {"quiet", "help", "version"},
+                               {"model", "port", "metrics-port",
+                                "workers", "batch-max", "precision",
+                                "queue-cap", "watchdog-ms", "slow-ms",
+                                "sample-every", "score-delay-us",
+                                "overload-hold-ms", "window-s",
+                                "slo-p99-ms", "slo-error-rate",
+                                "drift-psi", "drift-ph-lambda",
+                                "drift-warmup", "drift-ref",
+                                "slow-log", "event-log",
+                                "profile-out", "profile-hz",
+                                "max-seconds", "metrics-out"});
         if (args.has("help")) {
             std::printf("%s", kUsage);
             return 0;

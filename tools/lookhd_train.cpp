@@ -11,15 +11,12 @@
  *                [--label-first] [--skip-rows N] [--quiet]
  *                [--metrics-out metrics.json]
  *                [--quality-out quality.json]
- *                [--trace-out trace.json]
  *                [--profile-out profile.txt] [--profile-hz 99]
  *
  * --metrics-out dumps the obs metric registry (counters, gauges,
  * latency histograms) as JSON after training; --quality-out dumps
  * the quality telemetry (held-out confusion counters + margin
- * histograms; empty under -DLOOKHD_OBS=OFF); --trace-out records
- * trace spans during the run and writes a Chrome trace_event file
- * viewable in about:tracing / Perfetto.
+ * histograms; empty under -DLOOKHD_OBS=OFF).
  *
  * The CSV layout is features...,label (or label,features... with
  * --label-first). A held-out test split reports accuracy and the
@@ -49,7 +46,6 @@ constexpr const char *kUsage =
     "                    [--label-first] [--skip-rows N] [--quiet]\n"
     "                    [--metrics-out metrics.json]\n"
     "                    [--quality-out quality.json]\n"
-    "                    [--trace-out trace.json]\n"
     "                    [--profile-out profile.txt]\n"
     "                    [--profile-hz 99]\n"
     "\n"
@@ -62,10 +58,8 @@ constexpr const char *kUsage =
     "                      confusion counters + margin histograms)\n"
     "                      as JSON; sections are empty when the\n"
     "                      build has observability compiled out\n"
-    "  --trace-out FILE    record spans, write a Chrome trace\n"
     "  --profile-out FILE  sample the run with the CPU profiler and\n"
-    "                      write speedscope JSON (.json) or\n"
-    "                      collapsed stacks (anything else)\n"
+    "                      write collapsed stacks\n"
     "  --profile-hz N      profiler sampling rate (default 99)\n";
 
 } // namespace
@@ -78,7 +72,10 @@ main(int argc, char **argv)
         const tools::Args args(
             argc, argv,
             {"linear", "per-feature", "no-compress", "label-first",
-             "quiet", "help", "version"});
+             "quiet", "help", "version"},
+            {"input", "output", "dim", "q", "r", "epochs", "seed",
+             "test-fraction", "threads", "skip-rows", "metrics-out",
+             "quality-out", "profile-out", "profile-hz"});
         if (args.has("help")) {
             std::printf("%s", kUsage);
             return 0;
@@ -86,9 +83,6 @@ main(int argc, char **argv)
         if (tools::handleVersionFlag(args, "lookhd_train"))
             return 0;
 
-        const std::string trace_out = args.get("trace-out", "");
-        if (!trace_out.empty())
-            obs::setTracing(true);
         const std::string profile_out = args.get("profile-out", "");
         tools::startProfile(profile_out,
                             args.getInt("profile-hz", 0));
@@ -177,9 +171,6 @@ main(int argc, char **argv)
                 throw std::runtime_error("cannot write " + quality_out);
             out << obs::QualityTelemetry::global().toJson() << "\n";
         }
-        if (!trace_out.empty() &&
-            !obs::writeChromeTraceFile(trace_out))
-            throw std::runtime_error("cannot write " + trace_out);
         tools::writeProfile(profile_out);
         return 0;
     } catch (const std::exception &e) {

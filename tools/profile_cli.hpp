@@ -3,9 +3,8 @@
  * Shared --profile-out / --profile-hz plumbing for the CLI tools.
  *
  * A tool that opts in starts one continuous profiler session before
- * its workload and writes the collected profile on exit: speedscope
- * JSON when the output path ends in ".json", collapsed stacks
- * (flamegraph.pl input) otherwise. Both helpers are no-ops when the
+ * its workload and writes the collected profile on exit as collapsed
+ * stacks (flamegraph.pl input). Both helpers are no-ops when the
  * path is empty or the profiler is compiled out (start() refuses).
  */
 
@@ -45,13 +44,7 @@ writeProfile(const std::string &path)
     std::ofstream out(path);
     if (!out)
         throw std::runtime_error("cannot write " + path);
-    const bool speedscope =
-        path.size() >= 5 &&
-        path.compare(path.size() - 5, 5, ".json") == 0;
-    if (speedscope)
-        out << report.speedscopeJson() << "\n";
-    else
-        out << report.collapsed();
+    out << report.collapsed();
 }
 
 } // namespace lookhd::tools

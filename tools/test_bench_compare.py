@@ -34,8 +34,6 @@ def make_doc(name: str, metrics: dict, quick: bool = True) -> dict:
                      "labels": {}},
         "span_rollup": [],
         "quality": {"margins": {}, "confusion": {}},
-        "perf_counters": {"requested": False, "available": False,
-                          "spans": []},
     }
 
 

@@ -5,10 +5,11 @@ Every bench links bench/common.hpp's BenchReporter, which writes one
 `BENCH_<name>.json` per run (schema `lookhd-bench-v2`). Downstream
 perf tooling (tools/bench_compare.py) diffs those files across
 commits, so CI validates that the schema never drifts: required keys
-present, types right, the `name` field consistent with the filename,
-and the v2 `quality` / `perf_counters` sections well-formed. Files
-still claiming the retired `lookhd-bench-v1` schema are rejected -
-they predate quality telemetry and must be regenerated.
+present, no key outside the schema, types right, the `name` field
+consistent with the filename, and the v2 `quality` section
+well-formed. Files still claiming the retired `lookhd-bench-v1`
+schema are rejected - they predate quality telemetry and must be
+regenerated.
 
 Usage:
     validate_bench_json.py FILE_OR_DIR [FILE_OR_DIR ...]
@@ -41,7 +42,6 @@ TOP_LEVEL = {
     "registry": dict,
     "span_rollup": list,
     "quality": dict,
-    "perf_counters": dict,
 }
 
 REGISTRY_SECTIONS = ("counters", "gauges", "latency", "labels")
@@ -62,8 +62,6 @@ MARGIN_FIELDS = ("count", "negatives", "mean", "min", "max",
 
 CONFUSION_FIELDS = ("classes", "total", "correct", "accuracy",
                     "counts")
-
-PERF_SPAN_FIELDS = ("name", "samples")
 
 # Per-bench contracts: benches whose downstream gating depends on
 # specific metrics / config keys being present. bench_compare.py can
@@ -111,10 +109,13 @@ def check_file(path: Path) -> list[str]:
         elif not isinstance(doc[key], kind):
             bad(f"'{key}' must be {kind.__name__}, "
                 f"got {type(doc[key]).__name__}")
+    for key in doc:
+        if key not in TOP_LEVEL:
+            bad(f"unexpected top-level key '{key}'")
 
     if doc.get("schema") in RETIRED_SCHEMAS:
         bad(f"schema '{doc['schema']}' is retired; regenerate with a "
-            f"'{SCHEMA}' emitter (it lacks quality/perf sections)")
+            f"'{SCHEMA}' emitter (it lacks the quality section)")
     elif doc.get("schema") not in (None, SCHEMA):
         bad(f"schema is '{doc['schema']}', expected '{SCHEMA}'")
 
@@ -217,28 +218,6 @@ def check_file(path: Path) -> list[str]:
                         len(counts) != classes:
                     bad(f"quality.confusion.{cname}: {len(counts)} "
                         f"count rows but {classes} classes")
-
-    # v2 perf_counters section: absent counters are the common case
-    # (non-Linux, perf_event_paranoid), so only shape is checked.
-    perf = doc.get("perf_counters")
-    if isinstance(perf, dict):
-        for field, kind in (("requested", bool), ("available", bool),
-                            ("spans", list)):
-            if field not in perf:
-                bad(f"perf_counters missing '{field}'")
-            elif not isinstance(perf[field], kind):
-                bad(f"perf_counters.{field} must be "
-                    f"{kind.__name__}")
-        spans = perf.get("spans")
-        if isinstance(spans, list):
-            for i, span in enumerate(spans):
-                if not isinstance(span, dict):
-                    bad(f"perf_counters.spans[{i}] must be an object")
-                    continue
-                for field in PERF_SPAN_FIELDS:
-                    if field not in span:
-                        bad(f"perf_counters.spans[{i}] missing "
-                            f"'{field}'")
 
     return problems
 

@@ -1,32 +1,24 @@
 #!/usr/bin/env python3
 """Lint CPU-profile exports from the lookhd sampling profiler.
 
-Two formats are accepted (the two src/obs/profiler.cpp emits):
-
-  collapsed   Brendan Gregg collapsed stacks: one `frame;frame;... N`
-              line per aggregated stack, N a positive integer sample
-              count. Input to flamegraph.pl.
-  speedscope  https://www.speedscope.app file-format JSON with one
-              "sampled" profile: shared frame table, stacks as frame
-              index lists, weights in nanoseconds.
+The format is the one src/obs/profiler.cpp emits: Brendan Gregg
+collapsed stacks, one `frame;frame;... N` line per aggregated stack,
+N a positive integer sample count. Input to flamegraph.pl.
 
 Checks: non-empty document, frame syntax (no empty frames, no
-metacharacters that would break the collapsed grammar), counts and
-weights positive integers, speedscope indices in range and
-samples/weights aligned, and - when --seconds/--hz/--threads are
+metacharacters that would break the collapsed grammar), counts
+positive integers, and - when --seconds/--hz/--threads are
 given - total samples within the CPU-time sampling bound
 seconds x hz x threads (+slack). A thread only accumulates samples
 while it burns CPU, so the bound is an upper bound, never a target.
 
 Usage:
-  validate_profile.py --format collapsed FILE [--seconds N --hz H
-                      --threads T] [--require-frame SUBSTR]
-  validate_profile.py --format speedscope FILE [...]
+  validate_profile.py FILE [--seconds N --hz H --threads T]
+                      [--require-frame SUBSTR]
   validate_profile.py --selftest
 """
 
 import argparse
-import json
 import re
 import sys
 
@@ -74,68 +66,6 @@ def parse_collapsed(text):
     return stacks, total
 
 
-def parse_speedscope(text):
-    """Return (stacks, total_samples); raise ProfileError when bad."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ProfileError(f"bad JSON: {e}") from e
-    schema = doc.get("$schema", "")
-    if "speedscope" not in schema:
-        raise ProfileError(f"not a speedscope document: {schema!r}")
-    frames = doc.get("shared", {}).get("frames")
-    if not isinstance(frames, list):
-        raise ProfileError("missing shared.frames")
-    for i, frame in enumerate(frames):
-        name = frame.get("name") if isinstance(frame, dict) else None
-        if not name or not isinstance(name, str):
-            raise ProfileError(f"frame {i}: missing name")
-    profiles = doc.get("profiles")
-    if not isinstance(profiles, list) or not profiles:
-        raise ProfileError("missing profiles[]")
-    prof = profiles[0]
-    if prof.get("type") != "sampled":
-        raise ProfileError(f"profile type {prof.get('type')!r}, "
-                           "expected 'sampled'")
-    if prof.get("unit") != "nanoseconds":
-        raise ProfileError(f"unit {prof.get('unit')!r}, expected "
-                           "'nanoseconds'")
-    samples = prof.get("samples")
-    weights = prof.get("weights")
-    if not isinstance(samples, list) or not isinstance(weights, list):
-        raise ProfileError("missing samples[]/weights[]")
-    if len(samples) != len(weights):
-        raise ProfileError(
-            f"{len(samples)} samples vs {len(weights)} weights")
-    if not samples:
-        raise ProfileError("empty profile: no samples")
-    stacks = []
-    for i, stack in enumerate(samples):
-        if not isinstance(stack, list) or not stack:
-            raise ProfileError(f"samples[{i}]: empty stack")
-        names = []
-        for idx in stack:
-            if not isinstance(idx, int) or not (0 <= idx <
-                                                len(frames)):
-                raise ProfileError(
-                    f"samples[{i}]: frame index {idx!r} out of "
-                    f"range 0..{len(frames) - 1}")
-            names.append(frames[idx]["name"])
-        weight = weights[i]
-        if not isinstance(weight, int) or weight <= 0:
-            raise ProfileError(
-                f"weights[{i}]: non-positive weight {weight!r}")
-        stacks.append((names, weight))
-    end = prof.get("endValue")
-    total_weight = sum(w for _, w in stacks)
-    if end != total_weight:
-        raise ProfileError(
-            f"endValue {end} != sum of weights {total_weight}")
-    # Weight is count*period; report sample-equivalents when the
-    # period divides evenly, else fall back to weight count.
-    return stacks, total_weight
-
-
 def check_bound(total_samples, seconds, hz, threads):
     bound = seconds * hz * threads * BOUND_SLACK
     if total_samples > bound:
@@ -146,21 +76,12 @@ def check_bound(total_samples, seconds, hz, threads):
             f"{bound:.0f})")
 
 
-def validate(path, fmt, seconds=None, hz=None, threads=None,
+def validate(path, seconds=None, hz=None, threads=None,
              require_frame=None):
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    if fmt == "collapsed":
-        stacks, total = parse_collapsed(text)
-        total_samples = total
-    else:
-        stacks, total_weight = parse_speedscope(text)
-        total_samples = None
-        if hz:
-            period = 1_000_000_000 // hz
-            if total_weight % period == 0:
-                total_samples = total_weight // period
-    if seconds and hz and threads and total_samples is not None:
+    stacks, total_samples = parse_collapsed(text)
+    if seconds and hz and threads:
         check_bound(total_samples, seconds, hz, threads)
     if require_frame:
         hot = sorted(stacks, key=lambda s: -s[1])
@@ -169,8 +90,7 @@ def validate(path, fmt, seconds=None, hz=None, threads=None,
             raise ProfileError(
                 f"no frame contains {require_frame!r} (top stack: "
                 f"{';'.join(hot[0][0])[:160]})")
-    return len(stacks), (total_samples
-                         if total_samples is not None else -1)
+    return len(stacks), total_samples
 
 
 GOOD_COLLAPSED = """\
@@ -186,60 +106,19 @@ BAD_COLLAPSED = [
     ("main;kernel -3\n", "negative count"),
 ]
 
-GOOD_SPEEDSCOPE = json.dumps({
-    "$schema": "https://www.speedscope.app/file-format-schema.json",
-    "shared": {"frames": [{"name": "main"}, {"name": "kernel"}]},
-    "profiles": [{
-        "type": "sampled", "name": "cpu", "unit": "nanoseconds",
-        "startValue": 0, "endValue": 30303030,
-        "samples": [[0, 1], [0]],
-        "weights": [20202020, 10101010],
-    }],
-})
-
-BAD_SPEEDSCOPE = [
-    ("{}", "no schema"),
-    ('{"$schema":"https://www.speedscope.app/file-format-schema.json",'
-     '"shared":{"frames":[]},"profiles":[{"type":"sampled",'
-     '"unit":"nanoseconds","samples":[[0]],"weights":[1]}]}',
-     "index out of range"),
-    ('{"$schema":"https://www.speedscope.app/file-format-schema.json",'
-     '"shared":{"frames":[{"name":"a"}]},"profiles":[{"type":'
-     '"sampled","unit":"nanoseconds","samples":[[0],[0]],'
-     '"weights":[1]}]}', "samples/weights mismatch"),
-    ('{"$schema":"https://www.speedscope.app/file-format-schema.json",'
-     '"shared":{"frames":[{"name":"a"}]},"profiles":[{"type":'
-     '"sampled","unit":"nanoseconds","endValue":5,"samples":[[0]],'
-     '"weights":[1]}]}', "endValue mismatch"),
-    ('{"$schema":"https://www.speedscope.app/file-format-schema.json",'
-     '"shared":{"frames":[{"name":"a"}]},"profiles":[{"type":'
-     '"evented","unit":"nanoseconds","samples":[[0]],'
-     '"weights":[1]}]}', "wrong type"),
-]
-
-
 def selftest():
     failures = []
 
-    def expect_ok(fn, text, label):
-        try:
-            fn(text)
-        except ProfileError as e:
-            failures.append(f"good {label} rejected: {e}")
-
-    def expect_bad(fn, text, label):
-        try:
-            fn(text)
-        except ProfileError:
-            return
-        failures.append(f"bad {label} accepted")
-
-    expect_ok(parse_collapsed, GOOD_COLLAPSED, "collapsed")
+    try:
+        parse_collapsed(GOOD_COLLAPSED)
+    except ProfileError as e:
+        failures.append(f"good collapsed rejected: {e}")
     for text, label in BAD_COLLAPSED:
-        expect_bad(parse_collapsed, text, f"collapsed ({label})")
-    expect_ok(parse_speedscope, GOOD_SPEEDSCOPE, "speedscope")
-    for text, label in BAD_SPEEDSCOPE:
-        expect_bad(parse_speedscope, text, f"speedscope ({label})")
+        try:
+            parse_collapsed(text)
+            failures.append(f"bad collapsed ({label}) accepted")
+        except ProfileError:
+            pass
 
     # The duration*hz*threads bound must trip on oversampling.
     try:
@@ -263,8 +142,6 @@ def selftest():
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("file", nargs="?", help="profile to lint")
-    ap.add_argument("--format", choices=["collapsed", "speedscope"],
-                    default="collapsed")
     ap.add_argument("--seconds", type=float,
                     help="profiled wall-clock duration")
     ap.add_argument("--hz", type=int, help="sampling rate used")
@@ -281,16 +158,15 @@ def main():
         ap.error("FILE required unless --selftest")
     try:
         stacks, samples = validate(
-            args.file, args.format, seconds=args.seconds,
+            args.file, seconds=args.seconds,
             hz=args.hz, threads=args.threads,
             require_frame=args.require_frame)
     except ProfileError as e:
         print(f"validate_profile: {args.file}: {e}",
               file=sys.stderr)
         sys.exit(1)
-    detail = f", {samples} samples" if samples >= 0 else ""
     print(f"validate_profile: {args.file}: OK "
-          f"({stacks} stacks{detail})")
+          f"({stacks} stacks, {samples} samples)")
 
 
 if __name__ == "__main__":
