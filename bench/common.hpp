@@ -95,8 +95,9 @@ banner(const std::string &what)
  * trajectory format tools/bench_compare.py diffs against
  * bench/baselines/.
  *
- * Recognized CLI arguments (unknown ones are ignored so benches can
- * grow their own):
+ * Recognized CLI arguments; any other argument, or a value option
+ * without its value, prints `unknown option ARG` (or `missing value
+ * for ARG`) and exits 1:
  *   --out-dir DIR    where BENCH_<name>.json lands (default: cwd)
  *   --git-rev REV    recorded in the JSON (or env LOOKHD_GIT_REV)
  *   --quick          shrink bench::gScale for CI smoke runs
@@ -113,10 +114,18 @@ class BenchReporter
     {
         if (const char *rev = std::getenv("LOOKHD_GIT_REV"))
             gitRev_ = rev;
+        const auto fail = [&](const char *what,
+                              const std::string &arg) {
+            std::fprintf(stderr, "%s: %s %s\n", name_.c_str(), what,
+                         arg.c_str());
+            std::exit(1);
+        };
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             auto next = [&]() -> std::string {
-                return i + 1 < argc ? argv[++i] : std::string();
+                if (i + 1 >= argc)
+                    fail("missing value for", arg);
+                return argv[++i];
             };
             if (arg == "--out-dir")
                 outDir_ = next();
@@ -129,6 +138,8 @@ class BenchReporter
                                           10);
             else if (arg == "--quick")
                 quick_ = true;
+            else
+                fail("unknown option", arg);
         }
         if (quick_)
             gScale = SampleScale{8, 4};

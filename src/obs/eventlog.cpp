@@ -1,7 +1,6 @@
 #include "obs/eventlog.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <csignal>
 #include <exception>
 #include <fcntl.h>
@@ -11,22 +10,12 @@
 #include <unordered_map>
 
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "util/timer.hpp"
 
 namespace lookhd::obs {
 
 namespace {
-
-std::uint64_t
-wallMillisNow()
-{
-    // Wall clock for log stamps only; ordering uses the monotonic
-    // elapsed_ns (src/obs/ is the lint-sanctioned home for this).
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::system_clock::now().time_since_epoch())
-            .count());
-}
 
 /** Small, stable per-thread id (first-emit order, not the OS tid). */
 std::uint64_t
@@ -39,9 +28,19 @@ thisThreadId()
 }
 
 void
-writeEventLine(std::ostream &out, const LogEvent &e)
+sortByElapsed(std::vector<LogEvent> &events)
 {
-    JsonWriter w;
+    std::stable_sort(events.begin(), events.end(),
+                     [](const LogEvent &a, const LogEvent &b) {
+                         return a.elapsedNs < b.elapsedNs;
+                     });
+}
+
+} // namespace
+
+void
+writeEventJson(JsonWriter &w, const LogEvent &e)
+{
     w.beginObject();
     w.kv("ts_ms", e.wallMs);
     w.kv("elapsed_ns", e.elapsedNs);
@@ -53,10 +52,7 @@ writeEventLine(std::ostream &out, const LogEvent &e)
         w.kv(key, value);
     w.endObject();
     w.endObject();
-    out << w.str() << '\n';
 }
-
-} // namespace
 
 const char *
 logLevelName(LogLevel level)
@@ -76,10 +72,12 @@ logLevelName(LogLevel level)
 
 /**
  * Fixed-capacity overwrite-oldest buffer. Each writer thread owns
- * one ring; the ring mutex is uncontended except while a flush is
- * draining it. Rings are chained into the log's lock-free list
- * (nextRing, immutable after publication) so the crash-signal path
- * can reach every ring without touching ringsMutex_.
+ * one ring; the ring mutex is uncontended except while a reader
+ * copies it. The newest `unflushed` of the `size` retained events
+ * have not been written by a flush yet. Rings are chained into the
+ * log's lock-free list (nextRing, immutable after publication) so
+ * the crash-signal path can reach every ring without touching
+ * ringsMutex_.
  */
 struct EventLog::Ring
 {
@@ -91,6 +89,7 @@ struct EventLog::Ring
     /** Next write position. */
     std::size_t head LOOKHD_GUARDED_BY(mutex) = 0;
     std::size_t size LOOKHD_GUARDED_BY(mutex) = 0;
+    std::size_t unflushed LOOKHD_GUARDED_BY(mutex) = 0;
     std::uint64_t droppedSinceFlush LOOKHD_GUARDED_BY(mutex) = 0;
     /** Owner's thread id, set when a thread takes the ring (under
      * the mutex once the ring is published); the owner reads it
@@ -105,10 +104,21 @@ struct EventLog::Ring
         const util::MutexLock lock(mutex);
         events[head] = std::move(e);
         head = (head + 1) % events.size();
-        if (size < events.size())
-            ++size;
+        size = std::min(size + 1, events.size());
+        // Only a full ring of unflushed events overwrites one a
+        // flush has not written.
+        if (unflushed < events.size())
+            ++unflushed;
         else
             ++droppedSinceFlush;
+    }
+
+    /** Index of the @p i-th oldest of the newest @p count events. */
+    std::size_t
+    slot(std::size_t count, std::size_t i) const LOOKHD_REQUIRES(mutex)
+    {
+        const std::size_t cap = events.size();
+        return (head + cap - count + i) % cap;
     }
 };
 
@@ -178,20 +188,6 @@ EventLog::global()
     return *log;
 }
 
-void
-EventLog::setMinLevel(LogLevel level)
-{
-    minLevel_.store(static_cast<int>(level),
-                    std::memory_order_relaxed);
-}
-
-LogLevel
-EventLog::minLevel() const
-{
-    return static_cast<LogLevel>(
-        minLevel_.load(std::memory_order_relaxed));
-}
-
 EventLog::Ring &
 EventLog::ringForThisThread()
 {
@@ -232,23 +228,16 @@ EventLog::ringForThisThread()
 
 void
 EventLog::emit(LogLevel level, std::string_view event,
-               std::initializer_list<
-                   std::pair<std::string_view, std::string>>
-                   fields)
+               LogFields fields)
 {
-    if (static_cast<int>(level) <
-        minLevel_.load(std::memory_order_relaxed))
-        return;
     Ring &ring = ringForThisThread();
     LogEvent e;
-    e.wallMs = wallMillisNow();
+    e.wallMs = wallClockMs();
     e.elapsedNs = util::Timer::processNanoseconds();
     e.level = level;
     e.event = std::string(event);
     e.thread = ring.threadId;
-    e.fields.reserve(fields.size());
-    for (const auto &[key, value] : fields)
-        e.fields.emplace_back(std::string(key), value);
+    e.fields = std::move(fields);
     ring.push(std::move(e));
     emitted_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -256,7 +245,7 @@ EventLog::emit(LogLevel level, std::string_view event,
 void
 EventLog::flush(std::ostream &out)
 {
-    std::vector<LogEvent> drained;
+    std::vector<LogEvent> pending;
     {
         const util::MutexLock lock(ringsMutex_);
         for (Ring *ring = ringsHead_.load(std::memory_order_acquire);
@@ -264,7 +253,7 @@ EventLog::flush(std::ostream &out)
             const util::MutexLock ringLock(ring->mutex);
             if (ring->droppedSinceFlush > 0) {
                 LogEvent drop;
-                drop.wallMs = wallMillisNow();
+                drop.wallMs = wallClockMs();
                 drop.elapsedNs = 0; // sorts before what survived
                 drop.level = LogLevel::kWarn;
                 drop.event = "eventlog.dropped";
@@ -272,27 +261,41 @@ EventLog::flush(std::ostream &out)
                 drop.fields.emplace_back(
                     "dropped",
                     std::to_string(ring->droppedSinceFlush));
-                drained.push_back(std::move(drop));
+                pending.push_back(std::move(drop));
                 dropped_.fetch_add(ring->droppedSinceFlush,
                                    std::memory_order_relaxed);
                 ring->droppedSinceFlush = 0;
             }
-            const std::size_t cap = ring->events.size();
-            const std::size_t oldest =
-                (ring->head + cap - ring->size) % cap;
-            for (std::size_t i = 0; i < ring->size; ++i)
-                drained.push_back(std::move(
-                    ring->events[(oldest + i) % cap]));
-            ring->size = 0;
-            // head stays: positions are relative to size.
+            for (std::size_t i = 0; i < ring->unflushed; ++i)
+                pending.push_back(
+                    ring->events[ring->slot(ring->unflushed, i)]);
+            ring->unflushed = 0;
         }
     }
-    std::stable_sort(drained.begin(), drained.end(),
-                     [](const LogEvent &a, const LogEvent &b) {
-                         return a.elapsedNs < b.elapsedNs;
-                     });
-    for (const LogEvent &e : drained)
-        writeEventLine(out, e);
+    sortByElapsed(pending);
+    for (const LogEvent &e : pending) {
+        JsonWriter w;
+        writeEventJson(w, e);
+        out << w.str() << '\n';
+    }
+}
+
+std::vector<LogEvent>
+EventLog::snapshot() const
+{
+    std::vector<LogEvent> retained;
+    {
+        const util::MutexLock lock(ringsMutex_);
+        for (Ring *ring = ringsHead_.load(std::memory_order_acquire);
+             ring != nullptr; ring = ring->nextRing) {
+            const util::MutexLock ringLock(ring->mutex);
+            for (std::size_t i = 0; i < ring->size; ++i)
+                retained.push_back(
+                    ring->events[ring->slot(ring->size, i)]);
+        }
+    }
+    sortByElapsed(retained);
+    return retained;
 }
 
 bool
@@ -337,6 +340,7 @@ EventLog::reset()
          ring != nullptr; ring = ring->nextRing) {
         const util::MutexLock ringLock(ring->mutex);
         ring->size = 0;
+        ring->unflushed = 0;
         ring->droppedSinceFlush = 0;
     }
     emitted_.store(0, std::memory_order_relaxed);
@@ -563,7 +567,8 @@ EventLog::flushCrashToFd(int fd) LOOKHD_NO_THREAD_SAFETY_ANALYSIS
         const std::size_t cap = ring->events.size();
         if (cap == 0)
             continue;
-        const std::size_t size = ring->size < cap ? ring->size : cap;
+        const std::size_t unflushed =
+            ring->unflushed < cap ? ring->unflushed : cap;
         const std::size_t head = ring->head % cap;
         if (ring->droppedSinceFlush > 0) {
             LogEvent drop;
@@ -573,8 +578,8 @@ EventLog::flushCrashToFd(int fd) LOOKHD_NO_THREAD_SAFETY_ANALYSIS
             drop.thread = ring->threadId;
             writeCrashEventLine(w, drop);
         }
-        const std::size_t oldest = (head + cap - size) % cap;
-        for (std::size_t i = 0; i < size; ++i)
+        const std::size_t oldest = (head + cap - unflushed) % cap;
+        for (std::size_t i = 0; i < unflushed; ++i)
             writeCrashEventLine(
                 w, ring->events[(oldest + i) % cap]);
     }

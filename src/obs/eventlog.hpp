@@ -3,25 +3,30 @@
  * Bounded, thread-safe structured event log for request-scope events.
  *
  * Counters say how often, spans say how long; the event log says
- * *what happened*: model load, batch dispatch, quantizer-saturation
- * warnings, watchdog trips. Events are appended to a fixed-capacity
- * per-thread ring (one uncontended mutex per ring, no allocation on
- * the steady-state append path beyond the field strings), so a
- * stalled or crashed consumer can never back-pressure the serving
- * path - the ring overflows instead, dropping the oldest events and
- * counting the drops. A thread that exits hands its ring, with any
+ * *what happened*: model load, captured slow/sampled requests,
+ * overload rejections, watchdog trips. Events are appended to a
+ * fixed-capacity per-thread ring (one uncontended mutex per ring, no
+ * allocation on the steady-state append path beyond the field
+ * strings), so a stalled or crashed consumer can never back-pressure
+ * the serving path - the ring overflows instead, overwriting the
+ * oldest events and counting every overwritten event that no flush
+ * had written yet. A thread that exits hands its ring, with any
  * unflushed events, to the next thread that starts emitting, so
  * ring memory is bounded by the peak number of live emitting
  * threads, not by how many threads ever emitted.
  *
- * flush() drains every ring into a JSON-lines stream, one object per
- * event, globally ordered by the monotonic timestamp:
+ * flush() writes the events appended since the last flush as JSON
+ * lines, one object per event, globally ordered by the monotonic
+ * timestamp:
  *
  *   {"ts_ms":<unix wall millis>,"elapsed_ns":<process monotonic>,
- *    "level":"info","event":"serve.batch","thread":<tid>,
- *    "fields":{"size":"8","queue_depth":"3"}}
+ *    "level":"info","event":"serve.request.captured","thread":<tid>,
+ *    "fields":{"reason":"slow","stage.encode":"48211",...}}
  *
- * A ring that overflowed since the last flush prepends a synthetic
+ * Flushed events stay in their ring until overwritten, so
+ * snapshot() can serve a live peek (/debug/requests) of everything
+ * retained without consuming it. A ring that overwrote unflushed
+ * events since the last flush prepends a synthetic
  * `eventlog.dropped` warning carrying the drop count, so gaps are
  * visible in the log itself. installCrashFlush() arranges a
  * best-effort flush of the same stream on std::terminate and fatal
@@ -37,7 +42,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <initializer_list>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -48,6 +52,8 @@
 #include "util/thread_annotations.hpp"
 
 namespace lookhd::obs {
+
+class JsonWriter;
 
 enum class LogLevel : int
 {
@@ -60,6 +66,9 @@ enum class LogLevel : int
 /** Lower-case level name ("debug", "info", "warn", "error"). */
 const char *logLevelName(LogLevel level);
 
+/** Key/value pairs of one event, in emission order. */
+using LogFields = std::vector<std::pair<std::string, std::string>>;
+
 /** One structured event as captured in a ring. */
 struct LogEvent
 {
@@ -68,8 +77,11 @@ struct LogEvent
     LogLevel level = LogLevel::kInfo;
     std::string event; ///< `subsystem.verb` name, like metrics.
     std::uint64_t thread = 0; ///< Stable small id of the origin thread.
-    std::vector<std::pair<std::string, std::string>> fields;
+    LogFields fields;
 };
+
+/** One event as the JSON object of its --event-log line. */
+void writeEventJson(JsonWriter &w, const LogEvent &e);
 
 /**
  * The log itself. Usually accessed through global(); independently
@@ -78,7 +90,7 @@ struct LogEvent
 class EventLog
 {
   public:
-    /** @param ringCapacity Events retained per thread between flushes. */
+    /** @param ringCapacity Events retained per thread. */
     explicit EventLog(std::size_t ringCapacity = 1024);
     ~EventLog();
 
@@ -88,30 +100,31 @@ class EventLog
     /** The process-wide log (never destroyed). */
     static EventLog &global();
 
-    /** Events below this level are dropped at the append site. */
-    void setMinLevel(LogLevel level);
-    LogLevel minLevel() const;
-
     /** Append one event to the calling thread's ring. */
     void emit(LogLevel level, std::string_view event,
-              std::initializer_list<
-                  std::pair<std::string_view, std::string>>
-                  fields = {});
+              LogFields fields = {});
 
     /**
-     * Drain every ring (oldest first, merged by elapsed_ns) as JSON
-     * lines; rings are left empty. Overflow since the last flush is
-     * reported as a leading `eventlog.dropped` warning per ring.
+     * Write every event appended since the last flush (merged by
+     * elapsed_ns) as JSON lines. The events stay retained for
+     * snapshot(); a later flush never writes them again. Unflushed
+     * events lost to overflow are reported as a leading
+     * `eventlog.dropped` warning per ring.
      */
     void flush(std::ostream &out);
+
+    /** Copy of every retained event, flushed or not, in elapsed_ns
+     * order. Consumes nothing. */
+    std::vector<LogEvent> snapshot() const;
 
     /** flush() appended to @p path. @return false on I/O failure. */
     bool flushToFile(const std::string &path);
 
-    /** Events accepted (post level-filter) since construction/reset. */
+    /** Events emitted since construction/reset. */
     std::uint64_t totalEmitted() const;
 
-    /** Events overwritten by ring overflow since construction/reset. */
+    /** Events overwritten before any flush wrote them, since
+     * construction/reset. */
     std::uint64_t totalDropped() const;
 
     /** Drop buffered events and zero the counters; rings stay valid. */
@@ -129,14 +142,15 @@ class EventLog
     static void installCrashFlush(const std::string &path);
 
     /**
-     * Async-signal-safe drain of every ring to @p fd as JSON lines.
+     * Async-signal-safe write of every ring's unflushed events to
+     * @p fd as JSON lines.
      * Takes NO locks and allocates NOTHING: rings are reached
      * through a lock-free list and formatted into a fixed stack
      * buffer with raw write(2) calls. Reads race with concurrent
      * writers by design - on the crash path the torn tail of a log
-     * beats an empty file. Rings are NOT emptied (no state is
-     * mutated), so a survivable caller (tests) can still flush()
-     * normally afterwards. @return false if any write failed.
+     * beats an empty file. No state is mutated, so a survivable
+     * caller (tests) can still flush() normally afterwards.
+     * @return false if any write failed.
      */
     bool flushCrashToFd(int fd);
 
@@ -152,11 +166,10 @@ class EventLog
      * address reuse. */
     const std::uint64_t id_;
     const std::size_t ringCapacity_;
-    std::atomic<int> minLevel_{static_cast<int>(LogLevel::kDebug)};
     std::atomic<std::uint64_t> emitted_{0};
     std::atomic<std::uint64_t> dropped_{0};
     /** Serializes ring-list mutation and reader passes (flush,
-     * reset, totalDropped) against each other. The list itself is
+     * snapshot, reset, totalDropped) against each other. The list itself is
      * additionally published through the atomic head so the
      * crash-signal path can traverse it without locking. */
     mutable util::Mutex ringsMutex_;

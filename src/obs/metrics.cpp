@@ -30,18 +30,16 @@ logBinIndex(std::uint64_t clampedNs)
     return std::min(bin, kLogBins - 1);
 }
 
+} // namespace
+
 std::uint64_t
-wallMillisNow()
+wallClockMs()
 {
-    // Exemplar timestamps only; src/obs/ is the lint-sanctioned
-    // home for system_clock (see tools/lint_determinism.py).
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::system_clock::now().time_since_epoch())
             .count());
 }
-
-} // namespace
 
 LatencyHistogram::LatencyHistogram() : hist_(kLogLo, kLogHi, kLogBins)
 {
@@ -75,7 +73,7 @@ LatencyHistogram::record(std::uint64_t ns,
     if (!exemplars_.empty() && !exemplarTraceId.empty()) {
         LatencyExemplar &slot = exemplars_[logBinIndex(clamped)];
         slot.valueNs = static_cast<double>(clamped);
-        slot.wallMs = wallMillisNow();
+        slot.wallMs = wallClockMs();
         slot.traceId = std::string(exemplarTraceId);
     }
 }

@@ -51,6 +51,14 @@ namespace lookhd::obs {
 
 class JsonWriter;
 
+/**
+ * Unix wall clock in milliseconds, for telemetry stamps only (event
+ * and exemplar timestamps, window wall stamps, trace-id seeding).
+ * system_clock is lint-banned outside src/obs/
+ * (tools/lint_determinism.py), so this is its one reader.
+ */
+std::uint64_t wallClockMs();
+
 /** Monotonically increasing event count. */
 class Counter
 {

@@ -33,6 +33,18 @@
 #define LOOKHD_OBS_ENABLED 1
 #endif
 
+namespace lookhd::obs {
+
+/**
+ * LOOKHD_OBS_ENABLED as a constant, for `if constexpr` gates on
+ * wiring that is more than a macro site: server-side trace-id
+ * generation and request capture, and the window sampler. The obs
+ * classes themselves always build.
+ */
+inline constexpr bool kObsCompiled = LOOKHD_OBS_ENABLED != 0;
+
+} // namespace lookhd::obs
+
 #define LOOKHD_OBS_CONCAT2(a, b) a##b
 #define LOOKHD_OBS_CONCAT(a, b) LOOKHD_OBS_CONCAT2(a, b)
 

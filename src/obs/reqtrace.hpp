@@ -1,7 +1,6 @@
 /**
  * @file
- * Request-scoped tracing: trace/span identities, per-stage timing,
- * and the slow-request capture ring.
+ * Request-scoped tracing: trace/span identities and per-stage timing.
  *
  * The serving layer (src/serve/server.cpp) threads one
  * RequestContext per request from JSON parse to response write and
@@ -15,9 +14,11 @@
  *   - Prometheus exemplars: the request-latency histogram keeps the
  *     last trace id seen per bucket (obs/metrics.hpp), linking tail
  *     buckets to concrete requests,
- *   - SlowRequestLog: a bounded per-thread ring of full stage
- *     breakdowns for requests over a latency threshold or sampled
- *     1-in-N, served on /debug/requests and flushable as JSON lines.
+ *   - captured requests: a request over a latency threshold or
+ *     sampled 1-in-N becomes one `serve.request.captured` event in
+ *     obs::EventLog::global() carrying its full stage breakdown
+ *     (appendStageFields), served on /debug/requests and written to
+ *     --event-log.
  *
  * Trace ids are 128-bit (32 lowercase hex chars on the wire, the
  * W3C trace-context width), span ids 64-bit. Ids arrive in the
@@ -25,49 +26,21 @@
  * server-side; either way the id is echoed in the response so
  * clients can cross-reference server-side records.
  *
- * SlowRequestLog reuses the eventlog's publication pattern
- * (obs/eventlog.hpp): one mutex-guarded ring per writer thread,
- * rings chained through a release-published lock-free list, so the
- * steady-state append never contends with readers draining another
- * thread's ring. Unlike the event log, reads here are
- * NON-destructive - /debug/requests is a peek, and file flushing is
- * incremental via the per-record global sequence number.
- *
- * This file lives in src/obs/ deliberately: record wall-clock
- * stamps and trace-id seeding use std::chrono::system_clock, which
- * the determinism lint permits only here.
- *
- * Compile-time gate: kReqTraceCompiled mirrors LOOKHD_OBS_ENABLED.
- * The classes themselves are always built (like the rest of
- * src/obs/); the serving layer uses the constant to skip id
- * generation and capture entirely in -DLOOKHD_OBS=OFF builds while
- * keeping client-supplied trace echo (a protocol feature, not
- * instrumentation) always on.
+ * Trace-id seeding reads the wall clock (obs::wallClockMs), which
+ * the determinism lint permits only in src/obs/.
  */
 
 #ifndef LOOKHD_OBS_REQTRACE_HPP
 #define LOOKHD_OBS_REQTRACE_HPP
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "util/thread_annotations.hpp"
-
-#ifndef LOOKHD_OBS_ENABLED
-#define LOOKHD_OBS_ENABLED 1
-#endif
+#include "obs/eventlog.hpp"
 
 namespace lookhd::obs {
-
-class JsonWriter;
-
-/** Compile-time request-tracing gate (follows -DLOOKHD_OBS). */
-inline constexpr bool kReqTraceCompiled = LOOKHD_OBS_ENABLED != 0;
 
 /** 128-bit trace identity; all-zero means "no trace". */
 struct TraceId
@@ -168,89 +141,12 @@ struct RequestContext
     std::uint64_t stageSumNs() const;
 };
 
-/** Why a request landed in the SlowRequestLog. */
-enum class CaptureReason : std::uint8_t
-{
-    kSlow = 0,
-    kSampled,
-};
-
-const char *captureReasonName(CaptureReason reason);
-
-/** One captured request: full stage breakdown plus outcome. */
-struct SlowRequestRecord
-{
-    RequestContext ctx;
-    /** Global capture order, 1-based; assigned by record(). */
-    std::uint64_t seq = 0;
-    /** Unix wall clock at capture, ms; stamped by record(). */
-    std::uint64_t wallMs = 0;
-    /** End-to-end latency, parse start to response written. */
-    std::uint64_t totalNs = 0;
-    std::size_t batchSize = 0;
-    std::uint64_t predictedClass = 0;
-    /** Raw top1-top2 score margin. */
-    double margin = 0.0;
-    CaptureReason reason = CaptureReason::kSlow;
-    /** Echoed request id rendered as text ("" when absent). */
-    std::string clientId;
-};
-
-/** One record as a JSON object value. */
-void writeSlowRequestJson(JsonWriter &w, const SlowRequestRecord &r);
-
 /**
- * Bounded capture ring for slow/sampled requests.
- *
- * Same shape as EventLog: each writer thread owns one fixed-capacity
- * overwrite-oldest ring (uncontended mutex), rings are chained into
- * a lock-free release-published list owned by the log. Readers are
- * non-destructive: snapshot() returns a seq-ordered copy for
- * /debug/requests, writeJsonLines() appends only records newer than
- * a caller-held watermark so a periodic file flush never duplicates.
+ * Append one `stage.<reqStageName>` field per ReqStage to @p fields,
+ * each the stage's duration in ns: the stage breakdown of a
+ * `serve.request.captured` event.
  */
-class SlowRequestLog
-{
-  public:
-    /** @param ringCapacity Records retained per writer thread. */
-    explicit SlowRequestLog(std::size_t ringCapacity = 256);
-    ~SlowRequestLog();
-
-    SlowRequestLog(const SlowRequestLog &) = delete;
-    SlowRequestLog &operator=(const SlowRequestLog &) = delete;
-
-    /** Capture one record (seq and wallMs are assigned here). */
-    void record(SlowRequestRecord r);
-
-    /** Copy of every retained record, ascending seq. */
-    std::vector<SlowRequestRecord> snapshot() const;
-
-    /**
-     * Append records with seq > @p afterSeq as JSON lines, ascending
-     * seq. @return the highest seq written (== @p afterSeq when
-     * nothing was new) - feed it back in as the next watermark.
-     */
-    std::uint64_t writeJsonLines(std::ostream &out,
-                                 std::uint64_t afterSeq) const;
-
-    /** Records ever captured (retained or already overwritten). */
-    std::uint64_t totalCaptured() const;
-
-  private:
-    struct Ring;
-
-    Ring &ringForThisThread();
-
-    /** Process-unique instance id keying the thread-local ring
-     * cache (same scheme as EventLog). */
-    const std::uint64_t id_;
-    const std::size_t ringCapacity_;
-    std::atomic<std::uint64_t> nextSeq_{1};
-    /** Guards ring-list mutation and multi-ring reader passes. */
-    mutable util::Mutex ringsMutex_;
-    /** Release-published list head; rings live until destruction. */
-    std::atomic<Ring *> ringsHead_{nullptr};
-};
+void appendStageFields(LogFields &fields, const RequestContext &ctx);
 
 } // namespace lookhd::obs
 

@@ -27,7 +27,7 @@
  *
  * Like the rest of the obs classes, this compiles unconditionally;
  * LOOKHD_OBS=OFF only removes the server-side sampler wiring (gated
- * on kWindowsCompiled, mirroring obs::kReqTraceCompiled).
+ * on obs::kObsCompiled, obs/obs.hpp).
  */
 
 #ifndef LOOKHD_OBS_TIMESERIES_HPP
@@ -41,23 +41,7 @@
 #include "obs/metrics.hpp"
 #include "obs/quality.hpp"
 
-// Normally injected as a PUBLIC compile definition by src/CMakeLists;
-// default on for standalone inclusion (mirrors obs/reqtrace.hpp).
-#ifndef LOOKHD_OBS_ENABLED
-#define LOOKHD_OBS_ENABLED 1
-#endif
-
 namespace lookhd::obs {
-
-/** True when the serve-side sampler/health wiring is compiled in. */
-inline constexpr bool kWindowsCompiled = LOOKHD_OBS_ENABLED != 0;
-
-/**
- * Unix wall clock in milliseconds. Lives here because system_clock
- * is lint-banned outside src/obs/ (tools/lint_determinism.py); the
- * serve sampler uses it to wall-stamp windows.
- */
-std::uint64_t wallClockMs();
 
 /**
  * Aggregates of one sampling window: deltas between two consecutive

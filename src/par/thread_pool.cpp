@@ -168,13 +168,20 @@ ThreadPool::parallelFor(
     runChunks(*job);
     tOnWorker = false;
 
+    std::exception_ptr error;
     {
         const util::MutexLock lock(job->mutex);
         while (job->unfinished.load(std::memory_order_acquire) != 0)
             job->done.wait(job->mutex);
-        if (job->error)
-            std::rethrow_exception(job->error);
+        // Take the exception out of the job: a worker may drop the
+        // last Job reference later, and the exception must not be
+        // freed there. Its refcount lives in libstdc++, which tsan
+        // does not see, so a free on a worker would race (for tsan)
+        // with the caller's reads of the caught exception.
+        error = std::move(job->error);
     }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 void

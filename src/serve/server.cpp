@@ -23,6 +23,9 @@ namespace lookhd::serve {
 
 namespace {
 
+/** The event a captured (slow or sampled) request becomes. */
+constexpr const char *kCapturedEvent = "serve.request.captured";
+
 /** Compact one-line span-rollup dump for watchdog-trip events. */
 std::string
 rollupDump(std::size_t maxSites = 8)
@@ -226,7 +229,6 @@ InferenceServer::InferenceServer(Classifier classifier,
                                  ServeConfig config)
     : classifier_(std::move(classifier)),
       config_(config),
-      slowLog_(config.slowLogCapacity),
       requestsOk_(
           obs::MetricRegistry::global().counter("serve.requests")),
       requestsBad_(obs::MetricRegistry::global().counter(
@@ -267,7 +269,7 @@ InferenceServer::InferenceServer(Classifier classifier,
             "unknown serving precision: " + config_.precision);
     expectedFeatures_ =
         classifier_.encoder().chunks().numFeatures();
-    if constexpr (obs::kReqTraceCompiled) {
+    if constexpr (obs::kObsCompiled) {
         for (std::size_t s = 0; s < obs::kReqStageCount; ++s)
             stageLatency_[s] =
                 &obs::MetricRegistry::global().latency(
@@ -321,7 +323,7 @@ InferenceServer::start()
     lastOverloadNs_.store(0, std::memory_order_relaxed);
     wasReady_.store(true, std::memory_order_relaxed);
     healthReady_.set(1.0);
-    if constexpr (obs::kWindowsCompiled) {
+    if constexpr (obs::kObsCompiled) {
         if (config_.health.windowSeconds > 0.0) {
             health_ = std::make_unique<obs::HealthMonitor>(
                 obs::MetricRegistry::global(),
@@ -464,8 +466,6 @@ void
 InferenceServer::connectionLoop(std::shared_ptr<Connection> conn)
 {
     obs::Profiler::registerCurrentThread();
-    obs::EventLog::global().emit(obs::LogLevel::kDebug,
-                                 "serve.conn.open");
     try {
         std::string line;
         while (conn->stream.readLine(line)) {
@@ -482,8 +482,6 @@ InferenceServer::connectionLoop(std::shared_ptr<Connection> conn)
     }
     conn->open.store(false, std::memory_order_relaxed);
     connectionsOpen_.add(-1.0);
-    obs::EventLog::global().emit(obs::LogLevel::kDebug,
-                                 "serve.conn.close");
     conn->readerDone.store(true, std::memory_order_release);
 }
 
@@ -536,7 +534,7 @@ InferenceServer::handleRequestLine(
         return;
     }
 
-    if constexpr (obs::kReqTraceCompiled) {
+    if constexpr (obs::kObsCompiled) {
         if (req.ctx.trace.zero())
             req.ctx.trace = obs::makeTraceId();
         req.ctx.span = obs::makeSpanId();
@@ -628,9 +626,6 @@ InferenceServer::processBatch(std::vector<Request> &batch,
     batches_.add();
     batchLastSize_.set(static_cast<double>(batch.size()));
     inflight_.add(static_cast<double>(batch.size()));
-    obs::EventLog::global().emit(
-        obs::LogLevel::kDebug, "serve.batch",
-        {{"size", std::to_string(batch.size())}});
     if (batch.size() > 1) {
         multiBatches_.add();
         batchedRequests_.add(
@@ -701,7 +696,7 @@ InferenceServer::processBatch(std::vector<Request> &batch,
         // Count before the response write: a client that has read
         // the answer must already see it in requestsServed() and
         // /metrics.
-        if constexpr (obs::kReqTraceCompiled) {
+        if constexpr (obs::kObsCompiled) {
             requestLatency_.record(serialized - req.enqueueNs,
                                    obs::traceIdHex(req.ctx.trace));
         } else {
@@ -716,36 +711,42 @@ InferenceServer::processBatch(std::vector<Request> &batch,
         req.ctx.setStage(obs::ReqStage::kWrite, written - serialized);
         t = written;
 
-        if constexpr (obs::kReqTraceCompiled) {
+        if constexpr (obs::kObsCompiled) {
             if (stageLatency_[0] != nullptr)
                 for (std::size_t s = 0; s < obs::kReqStageCount;
                      ++s)
                     stageLatency_[s]->record(req.ctx.stageNs[s]);
             const std::uint64_t totalNs = written - req.ctx.startNs;
-            bool capture = false;
-            obs::CaptureReason reason = obs::CaptureReason::kSlow;
+            const char *reason = nullptr;
             if (config_.slowThresholdNs > 0 &&
                 totalNs >= config_.slowThresholdNs) {
-                capture = true;
+                reason = "slow";
             } else if (config_.sampleEveryN > 0 &&
                        sampleCounter_.fetch_add(
                            1, std::memory_order_relaxed) %
                                config_.sampleEveryN ==
                            0) {
-                capture = true;
-                reason = obs::CaptureReason::kSampled;
+                reason = "sampled";
             }
-            if (capture) {
-                obs::SlowRequestRecord record;
-                record.ctx = req.ctx;
-                record.totalNs = totalNs;
-                record.batchSize = batch.size();
-                record.predictedClass =
-                    static_cast<std::uint64_t>(pred);
-                record.margin = scoreMargin(scores);
-                record.reason = reason;
-                record.clientId = idText(req.fields);
-                slowLog_.record(std::move(record));
+            if (reason != nullptr) {
+                char margin[32];
+                std::snprintf(margin, sizeof(margin), "%.9g",
+                              scoreMargin(scores));
+                obs::LogFields fields = {
+                    {"trace", obs::traceIdHex(req.ctx.trace)},
+                    {"span", obs::spanIdHex(req.ctx.span)},
+                    {"client_trace",
+                     req.ctx.clientSupplied ? "true" : "false"},
+                    {"reason", reason},
+                    {"id", idText(req.fields)},
+                    {"total_ns", std::to_string(totalNs)},
+                    {"batch_size", std::to_string(batch.size())},
+                    {"pred", std::to_string(pred)},
+                    {"margin", margin}};
+                obs::appendStageFields(fields, req.ctx);
+                obs::EventLog::global().emit(
+                    obs::LogLevel::kInfo, kCapturedEvent,
+                    std::move(fields));
                 slowCaptured_.add();
             }
         }
@@ -765,10 +766,11 @@ InferenceServer::debugRequestsBody() const
 {
     obs::JsonWriter w;
     w.beginObject();
-    w.kv("captured_total", slowLog_.totalCaptured());
+    w.kv("captured_total", slowCaptured_.value());
     w.key("records").beginArray();
-    for (const obs::SlowRequestRecord &r : slowLog_.snapshot())
-        obs::writeSlowRequestJson(w, r);
+    for (const obs::LogEvent &e : obs::EventLog::global().snapshot())
+        if (e.event == kCapturedEvent)
+            obs::writeEventJson(w, e);
     w.endArray();
     w.endObject();
     return w.str() + "\n";
@@ -1012,7 +1014,9 @@ InferenceServer::checkReadiness()
                 const std::uint64_t busySince =
                     state->busySinceNs.load(
                         std::memory_order_relaxed);
-                if (busySince != 0 &&
+                // A batch that started after `now` was read is not
+                // stalled; unguarded, now - busySince wraps around.
+                if (busySince != 0 && busySince <= now &&
                     now - busySince >= config_.watchdogDeadlineMs *
                                            1'000'000ULL) {
                     stalled = true;
@@ -1137,7 +1141,7 @@ InferenceServer::watchdogLoop()
             WorkerState &state = *workerStates_[i];
             const std::uint64_t busySince =
                 state.busySinceNs.load(std::memory_order_relaxed);
-            if (busySince == 0)
+            if (busySince == 0 || busySince > now)
                 continue;
             const std::uint64_t elapsedNs = now - busySince;
             if (elapsedNs <

@@ -37,8 +37,10 @@
  *   GET /debug/health    full verdict: protocol state, per-rule
  *                        burn rates, drift scores as JSON
  *   GET /debug/windows?s=N  recent window series (last N seconds)
- *   GET /debug/requests  recent slow/sampled requests with their
- *                        full stage breakdown (obs/reqtrace.hpp)
+ *   GET /debug/requests  {"captured_total","records"}: the
+ *                        serve.request.captured events the event
+ *                        log still retains, each a slow or sampled
+ *                        request with its full stage breakdown
  *   GET /debug/inflight  currently queued + scoring requests, aged
  *   GET /debug/profile?seconds=N&hz=H
  *                        blocking CPU-profile capture
@@ -52,8 +54,13 @@
  * server-side, echoed in the response) and stamps one duration per
  * pipeline stage (parse/queue/batch_form/encode/score/serialize/
  * write).
- * Stage durations feed per-stage histograms, exemplars on the
- * request-latency histogram, and the SlowRequestLog. Under
+ * Stage durations feed per-stage histograms and exemplars on the
+ * request-latency histogram. A request over slowThresholdNs, or
+ * every sampleEveryN-th one, is captured: it becomes one
+ * serve.request.captured event (fields trace, span, client_trace,
+ * reason, id, total_ns, batch_size, pred, margin and one
+ * stage.<name> per stage) in obs::EventLog::global(), which
+ * /debug/requests peeks at and --event-log writes out. Under
  * -DLOOKHD_OBS=OFF id generation and capture compile out; echo of a
  * client-supplied trace id is protocol, so it stays.
  *
@@ -62,8 +69,8 @@
  * directly - it is the product of this layer, not optional
  * instrumentation, so /metrics stays meaningful even in
  * -DLOOKHD_OBS=OFF builds where the macro sites compile out.
- * Request-scope events (start/shutdown, watchdog trips, overload)
- * land in obs::EventLog::global().
+ * Request-scope events (start/shutdown, captured requests, watchdog
+ * trips, overload) land in obs::EventLog::global().
  *
  * The watchdog thread checks every worker's in-flight batch against
  * deadline; a stall logs a watchdog.trip event carrying the
@@ -134,16 +141,13 @@ struct ServeConfig
 
     /**
      * End-to-end latency (parse start to response written) beyond
-     * which a request is captured in the SlowRequestLog. 0 disables
-     * threshold capture.
+     * which a request is captured as a serve.request.captured event
+     * with reason "slow". 0 disables threshold capture.
      */
     std::uint64_t slowThresholdNs = 100'000'000;
 
     /** Also capture every Nth request ("sampled"). 0 disables. */
     std::uint64_t sampleEveryN = 0;
-
-    /** SlowRequestLog records retained per writer thread. */
-    std::size_t slowLogCapacity = 256;
 
     /**
      * Artificial per-batch delay added to the scoring stage. A load-
@@ -214,9 +218,6 @@ class InferenceServer
 
     /** Requests answered successfully since start. */
     std::uint64_t requestsServed() const;
-
-    /** The slow/sampled request capture ring (for tests/flushing). */
-    obs::SlowRequestLog &slowLog() { return slowLog_; }
 
     /** One /healthz readiness verdict. */
     struct Readiness
@@ -327,7 +328,6 @@ class InferenceServer
      * final state stays inspectable. */
     std::unique_ptr<obs::HealthMonitor> health_;
 
-    obs::SlowRequestLog slowLog_;
     /** 1-in-N sampling position (config_.sampleEveryN). */
     std::atomic<std::uint64_t> sampleCounter_{0};
     /** Per-stage latency histograms, ReqStage-indexed; null in

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <fcntl.h>
@@ -18,6 +22,8 @@
 #include <unistd.h>
 
 #include "obs/eventlog.hpp"
+#include "obs/json.hpp"
+#include "obs/reqtrace.hpp"
 #include "serve/jsonin.hpp"
 
 namespace {
@@ -71,25 +77,88 @@ TEST(EventLog, EmitsValidJsonLines)
     EXPECT_EQ(second->find("fields")->find("what")->string, "a \"q\"");
 }
 
-TEST(EventLog, FlushDrainsTheRings)
+std::string
+eventName(const std::string &line)
+{
+    std::string error;
+    const auto doc = serve::parseJson(line, error);
+    if (doc == nullptr || doc->find("event") == nullptr)
+        return "unparsable: " + error;
+    return doc->find("event")->string;
+}
+
+TEST(EventLog, FlushWritesEachEventOnce)
 {
     EventLog log(16);
     log.emit(LogLevel::kInfo, "test.once");
     EXPECT_EQ(flushLines(log).size(), 1u);
     EXPECT_TRUE(flushLines(log).empty());
     EXPECT_EQ(log.totalEmitted(), 1u);
+    // Flushed is not forgotten: the event stays for snapshot().
+    const std::vector<LogEvent> retained = log.snapshot();
+    ASSERT_EQ(retained.size(), 1u);
+    EXPECT_EQ(retained[0].event, "test.once");
 }
 
-TEST(EventLog, MinLevelFiltersAtTheAppendSite)
+TEST(EventLog, IncrementalFlushWritesOnlyNewEvents)
 {
-    EventLog log(16);
-    log.setMinLevel(LogLevel::kWarn);
-    log.emit(LogLevel::kDebug, "test.debug");
-    log.emit(LogLevel::kInfo, "test.info");
-    log.emit(LogLevel::kWarn, "test.warn");
-    log.emit(LogLevel::kError, "test.error");
-    EXPECT_EQ(log.totalEmitted(), 2u);
+    EventLog log(8);
+    for (int i = 0; i < 3; ++i)
+        log.emit(LogLevel::kInfo, "test.old" + std::to_string(i));
+    EXPECT_EQ(flushLines(log).size(), 3u);
+
+    log.emit(LogLevel::kInfo, "test.new");
+    const auto next = flushLines(log);
+    ASSERT_EQ(next.size(), 1u);
+    EXPECT_EQ(eventName(next[0]), "test.new");
+    EXPECT_TRUE(flushLines(log).empty());
+    EXPECT_EQ(log.snapshot().size(), 4u);
+}
+
+TEST(EventLog, SnapshotIsNonDestructive)
+{
+    EventLog log(8);
+    log.emit(LogLevel::kInfo, "test.a", {{"k", "1"}});
+    log.emit(LogLevel::kWarn, "test.b");
+    for (int pass = 0; pass < 2; ++pass) {
+        const std::vector<LogEvent> events = log.snapshot();
+        ASSERT_EQ(events.size(), 2u);
+        EXPECT_EQ(events[0].event, "test.a");
+        EXPECT_EQ(events[1].event, "test.b");
+        EXPECT_LE(events[0].elapsedNs, events[1].elapsedNs);
+        EXPECT_GT(events[0].wallMs, 0u);
+        ASSERT_EQ(events[0].fields.size(), 1u);
+        EXPECT_EQ(events[0].fields[0].second, "1");
+    }
+    // A peek consumes nothing the file flush still owes.
     EXPECT_EQ(flushLines(log).size(), 2u);
+}
+
+TEST(EventLog, OverflowCountsOnlyUnflushedEvents)
+{
+    EventLog log(4);
+    for (int i = 0; i < 4; ++i)
+        log.emit(LogLevel::kInfo, "test.e" + std::to_string(i));
+    EXPECT_EQ(flushLines(log).size(), 4u);
+
+    // Overwriting events a flush already wrote loses nothing.
+    for (int i = 4; i < 8; ++i)
+        log.emit(LogLevel::kInfo, "test.e" + std::to_string(i));
+    EXPECT_EQ(log.totalDropped(), 0u);
+    std::vector<LogEvent> retained = log.snapshot();
+    ASSERT_EQ(retained.size(), 4u);
+    EXPECT_EQ(retained.front().event, "test.e4");
+    EXPECT_EQ(retained.back().event, "test.e7");
+
+    // Overwriting unflushed ones does, and is counted.
+    for (int i = 8; i < 10; ++i)
+        log.emit(LogLevel::kInfo, "test.e" + std::to_string(i));
+    EXPECT_EQ(log.totalDropped(), 2u);
+    EXPECT_EQ(log.totalEmitted(), 10u);
+    retained = log.snapshot();
+    ASSERT_EQ(retained.size(), 4u);
+    EXPECT_EQ(retained.front().event, "test.e6");
+    EXPECT_EQ(retained.back().event, "test.e9");
 }
 
 TEST(EventLog, RingOverflowDropsOldestAndCountsIt)
@@ -153,6 +222,181 @@ TEST(EventLog, MergesThreadsByMonotonicTime)
     EXPECT_EQ(log.totalDropped(), 0u);
 }
 
+TEST(EventLog, ConcurrentWritersSnapshotEveryEvent)
+{
+    constexpr int kThreads = 4;
+    constexpr int kPerThread = 200;
+    EventLog log(kPerThread);
+    // Every writer stays alive until all have emitted: an exited
+    // writer's ring would pass to the next one to start.
+    std::atomic<int> finished{0};
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&log, &finished, t] {
+            for (int i = 0; i < kPerThread; ++i)
+                log.emit(LogLevel::kInfo, "test.w",
+                         {{"n", std::to_string(t * kPerThread + i)}});
+            finished.fetch_add(1);
+            while (finished.load() < kThreads)
+                std::this_thread::yield();
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+
+    EXPECT_EQ(log.totalEmitted(),
+              static_cast<std::uint64_t>(kThreads * kPerThread));
+    EXPECT_EQ(log.totalDropped(), 0u);
+    // Per-thread rings were sized to hold every event.
+    const std::vector<LogEvent> events = log.snapshot();
+    ASSERT_EQ(events.size(),
+              static_cast<std::size_t>(kThreads * kPerThread));
+    std::set<std::string> seen;
+    for (const LogEvent &e : events)
+        seen.insert(e.fields.at(0).second);
+    EXPECT_EQ(seen.size(), events.size());
+    EXPECT_TRUE(std::is_sorted(
+        events.begin(), events.end(),
+        [](const LogEvent &a, const LogEvent &b) {
+            return a.elapsedNs < b.elapsedNs;
+        }));
+}
+
+TEST(EventLog, EmittedEqualsWrittenPlusDroppedUnderConcurrentFlushes)
+{
+    // Every emitted event is either written by exactly one flush or
+    // counted as dropped, however emits and flushes interleave.
+    constexpr int kEmitters = 4;
+    constexpr int kPerEmitter = 3000;
+    EventLog log(8);
+    std::atomic<bool> emitting{true};
+    std::atomic<std::uint64_t> written{0};
+    const auto flushAndCount = [&log, &written] {
+        for (const std::string &line : flushLines(log))
+            if (eventName(line) != "eventlog.dropped")
+                written.fetch_add(1, std::memory_order_relaxed);
+    };
+    std::vector<std::thread> flushers;
+    for (int f = 0; f < 2; ++f) {
+        flushers.emplace_back([&emitting, &flushAndCount] {
+            while (emitting.load(std::memory_order_relaxed))
+                flushAndCount();
+        });
+    }
+    std::vector<std::thread> emitters;
+    for (int t = 0; t < kEmitters; ++t) {
+        emitters.emplace_back([&log] {
+            for (int i = 0; i < kPerEmitter; ++i)
+                log.emit(LogLevel::kInfo, "test.inv");
+        });
+    }
+    for (std::thread &thread : emitters)
+        thread.join();
+    emitting.store(false, std::memory_order_relaxed);
+    for (std::thread &thread : flushers)
+        thread.join();
+    flushAndCount();
+
+    EXPECT_EQ(log.totalEmitted(),
+              static_cast<std::uint64_t>(kEmitters * kPerEmitter));
+    EXPECT_EQ(log.totalEmitted(),
+              written.load() + log.totalDropped());
+}
+
+TEST(EventLog, CapturedRequestCarriesStageFields)
+{
+    RequestContext ctx;
+    ctx.trace = TraceId{0x1234, 0x5678};
+    ctx.setStage(ReqStage::kScore, 777);
+    LogFields fields = {{"trace", traceIdHex(ctx.trace)},
+                        {"reason", "sampled"},
+                        {"id", "req-1"}};
+    appendStageFields(fields, ctx);
+    EventLog log(4);
+    log.emit(LogLevel::kInfo, "serve.request.captured", fields);
+
+    const auto lines = flushLines(log);
+    ASSERT_EQ(lines.size(), 1u);
+    std::string error;
+    const auto doc = serve::parseJson(lines[0], error);
+    ASSERT_NE(doc, nullptr) << error;
+    const serve::JsonValue *f = doc->find("fields");
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(f->find("trace")->string, traceIdHex(ctx.trace));
+    EXPECT_EQ(f->find("reason")->string, "sampled");
+    EXPECT_EQ(f->find("id")->string, "req-1");
+    for (std::size_t s = 0; s < kReqStageCount; ++s) {
+        const std::string key = std::string("stage.") +
+                                reqStageName(static_cast<ReqStage>(s));
+        ASSERT_NE(f->find(key), nullptr) << key;
+    }
+    EXPECT_EQ(f->find("stage.score")->string, "777");
+    EXPECT_EQ(f->find("stage.parse")->string, "0");
+
+    // /debug/requests formats snapshot events with the same writer
+    // as the --event-log line.
+    JsonWriter w;
+    writeEventJson(w, log.snapshot().at(0));
+    EXPECT_EQ(w.str(), lines[0]);
+}
+
+// The slow-request log is the `serve.request.captured` events of an
+// EventLog: capture order is elapsed_ns order, and snapshot() is the
+// /debug/requests peek.
+
+void
+captureRequest(EventLog &log, const std::string &id)
+{
+    RequestContext ctx;
+    ctx.trace = makeTraceId();
+    LogFields fields = {{"trace", traceIdHex(ctx.trace)},
+                        {"reason", "slow"},
+                        {"id", id}};
+    appendStageFields(fields, ctx);
+    log.emit(LogLevel::kInfo, "serve.request.captured",
+             std::move(fields));
+}
+
+std::string
+fieldValue(const LogEvent &e, const std::string &key)
+{
+    for (const auto &[k, v] : e.fields)
+        if (k == key)
+            return v;
+    return {};
+}
+
+TEST(SlowRequestLog, AssignsSequentialSeqAndWallClock)
+{
+    EventLog log(8);
+    for (int i = 1; i <= 3; ++i)
+        captureRequest(log, std::to_string(i));
+    const std::vector<LogEvent> records = log.snapshot();
+    ASSERT_EQ(records.size(), 3u);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        EXPECT_EQ(records[i].event, "serve.request.captured");
+        EXPECT_EQ(fieldValue(records[i], "id"), std::to_string(i + 1));
+        EXPECT_GT(records[i].wallMs, 0u);
+        if (i > 0) {
+            EXPECT_LE(records[i - 1].elapsedNs, records[i].elapsedNs);
+        }
+    }
+    EXPECT_EQ(log.totalEmitted(), 3u);
+}
+
+TEST(SlowRequestLog, SnapshotIsNonDestructive)
+{
+    EventLog log(8);
+    captureRequest(log, "req-1");
+    EXPECT_EQ(log.snapshot().size(), 1u);
+    EXPECT_EQ(log.snapshot().size(), 1u);
+    EXPECT_EQ(flushLines(log).size(), 1u);
+    // Written to the file is still retained for the peek.
+    ASSERT_EQ(log.snapshot().size(), 1u);
+    EXPECT_EQ(fieldValue(log.snapshot()[0], "id"), "req-1");
+}
+
 TEST(EventLog, ExitedThreadsRingPassesToTheNextThread)
 {
     // Thread churn must not grow the log: a new thread takes the
@@ -201,8 +445,8 @@ TEST(EventLog, ResetZeroesCountersAndDropsEvents)
 // ------------------------------------------------------ crash flush
 //
 // Regression coverage for the async-signal-safe crash path: the
-// signal handler must drain the rings without taking locks or
-// allocating (obs/eventlog.cpp, flushCrashToFd). These run under the
+// signal handler must write the rings' unflushed events without
+// taking locks or allocating (obs/eventlog.cpp, flushCrashToFd). These run under the
 // tsan preset too (EventLogCrash is in its test filter).
 
 std::vector<std::string>
@@ -249,8 +493,19 @@ TEST(EventLogCrash, FlushCrashToFdWritesParsableJsonWithoutDraining)
               "a \"q\" and\tcontrol");
 
     // The crash path must not mutate ring state: a survivable caller
-    // can still drain normally afterwards.
+    // can still flush normally afterwards.
     EXPECT_EQ(flushLines(log).size(), 2u);
+
+    // Like flush(), it writes only what no flush has written yet.
+    log.emit(LogLevel::kInfo, "crash.third");
+    const int again =
+        ::open(path.c_str(), O_WRONLY | O_TRUNC, 0644);
+    ASSERT_GE(again, 0);
+    EXPECT_TRUE(log.flushCrashToFd(again));
+    ASSERT_EQ(::close(again), 0);
+    const auto unflushed = readLines(path);
+    ASSERT_EQ(unflushed.size(), 1u);
+    EXPECT_EQ(eventName(unflushed[0]), "crash.third");
     std::remove(path.c_str());
 }
 

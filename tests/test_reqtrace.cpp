@@ -1,30 +1,21 @@
 /**
  * @file
  * Tests for the request-tracing layer (obs/reqtrace.hpp): trace/span
- * identity generation and wire parsing, the stage taxonomy, captured
- * record JSON, and the SlowRequestLog ring (wrap-around, watermarked
- * flush, concurrent writers).
+ * identity generation and wire parsing, and the stage taxonomy. The
+ * captured-request event is covered in tests/test_eventlog.cpp.
  */
 
-#include <algorithm>
 #include <set>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "obs/json.hpp"
 #include "obs/reqtrace.hpp"
 
 namespace {
 
-using lookhd::obs::CaptureReason;
 using lookhd::obs::RequestContext;
 using lookhd::obs::ReqStage;
-using lookhd::obs::SlowRequestLog;
-using lookhd::obs::SlowRequestRecord;
 using lookhd::obs::TraceId;
 
 TEST(ReqTrace, TraceIdHexRoundTrip)
@@ -128,126 +119,6 @@ TEST(ReqTrace, StageSumAddsEveryStage)
     ctx.setStage(ReqStage::kWrite, 100000);
     EXPECT_EQ(ctx.stageSumNs(), 1111111u);
     EXPECT_EQ(ctx.stage(ReqStage::kScore), 1000u);
-}
-
-TEST(ReqTrace, SlowRequestJsonCarriesTraceAndStages)
-{
-    SlowRequestRecord r;
-    r.ctx.trace = TraceId{0x1234, 0x5678};
-    r.ctx.span = 42;
-    r.ctx.clientSupplied = true;
-    r.ctx.setStage(ReqStage::kScore, 777);
-    r.seq = 9;
-    r.totalNs = 12345;
-    r.batchSize = 4;
-    r.predictedClass = 2;
-    r.margin = 0.5;
-    r.reason = CaptureReason::kSampled;
-    r.clientId = "req-1";
-    lookhd::obs::JsonWriter w;
-    lookhd::obs::writeSlowRequestJson(w, r);
-    const std::string doc = w.str();
-    EXPECT_NE(doc.find(lookhd::obs::traceIdHex(r.ctx.trace)),
-              std::string::npos);
-    EXPECT_NE(doc.find("\"reason\":\"sampled\""), std::string::npos);
-    EXPECT_NE(doc.find("\"score\":777"), std::string::npos);
-    EXPECT_NE(doc.find("\"batch_size\":4"), std::string::npos);
-    EXPECT_NE(doc.find("\"id\":\"req-1\""), std::string::npos);
-}
-
-TEST(SlowRequestLog, AssignsSequentialSeqAndWallClock)
-{
-    SlowRequestLog log(8);
-    for (int i = 0; i < 3; ++i)
-        log.record(SlowRequestRecord{});
-    const std::vector<SlowRequestRecord> records = log.snapshot();
-    ASSERT_EQ(records.size(), 3u);
-    EXPECT_EQ(records[0].seq, 1u);
-    EXPECT_EQ(records[1].seq, 2u);
-    EXPECT_EQ(records[2].seq, 3u);
-    EXPECT_GT(records[0].wallMs, 0u);
-    EXPECT_EQ(log.totalCaptured(), 3u);
-}
-
-TEST(SlowRequestLog, RingOverwritesOldestButKeepsTotal)
-{
-    SlowRequestLog log(4);
-    for (int i = 0; i < 10; ++i)
-        log.record(SlowRequestRecord{});
-    const std::vector<SlowRequestRecord> records = log.snapshot();
-    ASSERT_EQ(records.size(), 4u);
-    EXPECT_EQ(records.front().seq, 7u);
-    EXPECT_EQ(records.back().seq, 10u);
-    EXPECT_EQ(log.totalCaptured(), 10u);
-}
-
-TEST(SlowRequestLog, WriteJsonLinesIsWatermarkedAndIncremental)
-{
-    SlowRequestLog log(8);
-    for (int i = 0; i < 3; ++i)
-        log.record(SlowRequestRecord{});
-
-    std::ostringstream first;
-    const std::uint64_t mark = log.writeJsonLines(first, 0);
-    const std::string firstDoc = first.str();
-    EXPECT_EQ(mark, 3u);
-    EXPECT_EQ(std::count(firstDoc.begin(), firstDoc.end(), '\n'), 3);
-
-    // Nothing new: no output, watermark unchanged.
-    std::ostringstream second;
-    EXPECT_EQ(log.writeJsonLines(second, mark), mark);
-    EXPECT_TRUE(second.str().empty());
-
-    // One new record flushes exactly one line.
-    log.record(SlowRequestRecord{});
-    std::ostringstream third;
-    EXPECT_EQ(log.writeJsonLines(third, mark), 4u);
-    const std::string thirdDoc = third.str();
-    EXPECT_EQ(std::count(thirdDoc.begin(), thirdDoc.end(), '\n'), 1);
-    EXPECT_NE(thirdDoc.find("\"seq\":4"), std::string::npos);
-}
-
-TEST(SlowRequestLog, SnapshotIsNonDestructive)
-{
-    SlowRequestLog log(8);
-    log.record(SlowRequestRecord{});
-    EXPECT_EQ(log.snapshot().size(), 1u);
-    EXPECT_EQ(log.snapshot().size(), 1u);
-}
-
-TEST(SlowRequestLog, ConcurrentWritersKeepSeqUnique)
-{
-    constexpr int kThreads = 4;
-    constexpr int kPerThread = 200;
-    SlowRequestLog log(kPerThread);
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&log] {
-            for (int i = 0; i < kPerThread; ++i) {
-                SlowRequestRecord r;
-                r.ctx.trace = lookhd::obs::makeTraceId();
-                log.record(r);
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    EXPECT_EQ(log.totalCaptured(),
-              static_cast<std::uint64_t>(kThreads * kPerThread));
-    const std::vector<SlowRequestRecord> records = log.snapshot();
-    // Per-thread rings were sized to hold every record.
-    ASSERT_EQ(records.size(),
-              static_cast<std::size_t>(kThreads * kPerThread));
-    std::set<std::uint64_t> seqs;
-    for (const SlowRequestRecord &r : records)
-        seqs.insert(r.seq);
-    EXPECT_EQ(seqs.size(), records.size());
-    EXPECT_TRUE(std::is_sorted(
-        records.begin(), records.end(),
-        [](const SlowRequestRecord &a, const SlowRequestRecord &b) {
-            return a.seq < b.seq;
-        }));
 }
 
 } // namespace

@@ -9,7 +9,6 @@
  *                [--precision auto] [--queue-cap 1024]
  *                [--watchdog-ms 2000]
  *                [--slow-ms 100] [--sample-every N]
- *                [--slow-log slow.jsonl]
  *                [--event-log events.jsonl]
  *                [--metrics-out metrics.json]
  *                [--max-seconds N] [--quiet] [--version]
@@ -26,8 +25,9 @@
  * so drivers (tools/serve_smoke.py) can parse them. SIGTERM/SIGINT
  * triggers a graceful shutdown: stop accepting, drain the queue,
  * flush the event log, exit 0. --event-log appends JSON-lines
- * events (flushed every watchdog period, on shutdown, and
- * best-effort on crash); --metrics-out dumps the final registry
+ * events, captured requests included (flushed every 50 ms, on
+ * shutdown, and best-effort on crash); --metrics-out dumps the
+ * final registry
  * JSON on exit. --max-seconds is a CI belt: self-terminate cleanly
  * after N seconds even if no signal arrives.
  */
@@ -61,7 +61,6 @@ constexpr const char *kUsage =
     "                    [--precision auto] [--queue-cap 1024]\n"
     "                    [--watchdog-ms 2000]\n"
     "                    [--slow-ms 100] [--sample-every N]\n"
-    "                    [--slow-log slow.jsonl]\n"
     "                    [--event-log events.jsonl]\n"
     "                    [--metrics-out metrics.json]\n"
     "                    [--window-s 5] [--slo-p99-ms 0]\n"
@@ -89,11 +88,13 @@ constexpr const char *kUsage =
     "                      otherwise), float64, int8, or binary;\n"
     "                      exported as the precision label on\n"
     "                      /metrics\n"
-    "  --slow-ms N         capture requests slower than N ms in the\n"
-    "                      slow-request log (0 disables)\n"
+    "  --slow-ms N         capture requests slower than N ms as\n"
+    "                      serve.request.captured events, shown on\n"
+    "                      /debug/requests (0 disables)\n"
     "  --sample-every N    also capture every Nth request\n"
-    "  --slow-log FILE     append captured requests as JSON lines\n"
-    "  --event-log FILE    append JSON-lines request-scope events\n"
+    "  --event-log FILE    append JSON-lines request-scope events,\n"
+    "                      captured requests included; flushed\n"
+    "                      every 50 ms, on shutdown and on crash\n"
     "  --metrics-out FILE  dump the final metric registry as JSON\n"
     "  --window-s N        health/telemetry window length in seconds\n"
     "                      (0 disables the window sampler; /healthz\n"
@@ -205,9 +206,9 @@ main(int argc, char **argv)
                                 "slo-p99-ms", "slo-error-rate",
                                 "drift-psi", "drift-ph-lambda",
                                 "drift-warmup", "drift-ref",
-                                "slow-log", "event-log",
-                                "profile-out", "profile-hz",
-                                "max-seconds", "metrics-out"});
+                                "event-log", "profile-out",
+                                "profile-hz", "max-seconds",
+                                "metrics-out"});
         if (args.has("help")) {
             std::printf("%s", kUsage);
             return 0;
@@ -255,13 +256,6 @@ main(int argc, char **argv)
             cfg.health.drift.referenceFractions =
                 loadDriftReference(drift_ref);
 
-        const std::string slow_log = args.get("slow-log", "");
-        if (!slow_log.empty()) {
-            std::ofstream truncate(slow_log, std::ios::trunc);
-            if (!truncate)
-                throw std::runtime_error("cannot write " + slow_log);
-        }
-
         const std::string event_log = args.get("event-log", "");
         if (!event_log.empty()) {
             // Truncate stale content, then append incrementally.
@@ -298,20 +292,6 @@ main(int argc, char **argv)
                     server.metricsPort());
         std::fflush(stdout);
 
-        // Incremental slow-log flush: the seq watermark makes each
-        // append emit only records captured since the last flush.
-        std::uint64_t slowLogSeq = 0;
-        const auto flushSlowLog = [&] {
-            if (slow_log.empty())
-                return true;
-            std::ofstream out(slow_log, std::ios::app);
-            if (!out)
-                return false;
-            slowLogSeq =
-                server.slowLog().writeJsonLines(out, slowLogSeq);
-            return static_cast<bool>(out);
-        };
-
         const long max_seconds = args.getInt("max-seconds", 0);
         util::Timer uptime;
         while (!gStopRequested.load()) {
@@ -327,7 +307,6 @@ main(int argc, char **argv)
             }
             if (!event_log.empty())
                 obs::EventLog::global().flushToFile(event_log);
-            flushSlowLog();
             if (!profile_out.empty())
                 obs::Profiler::global().drain();
         }
@@ -337,8 +316,6 @@ main(int argc, char **argv)
         if (!event_log.empty() &&
             !obs::EventLog::global().flushToFile(event_log))
             throw std::runtime_error("cannot write " + event_log);
-        if (!flushSlowLog())
-            throw std::runtime_error("cannot write " + slow_log);
 
         const std::string metrics_out = args.get("metrics-out", "");
         if (!metrics_out.empty()) {

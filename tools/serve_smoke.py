@@ -41,8 +41,9 @@ Round trip, in one process tree:
      answers 404 (profiler compiled out),
   9. SIGTERM the server and assert exit status 0 with the event log
      flushed (serve.start and serve.shutdown both present, every
-     line valid JSON); with observability on, the slow-request log
-     must hold the traced request as a valid JSON line,
+     line valid JSON); with observability on, the event log must
+     hold the traced request as a serve.request.captured event with
+     all seven stage.* fields,
  10. degraded phase: start a second, deliberately under-provisioned
      server (1 slow worker, queue capacity 4), burst far past queue
      capacity, and assert /healthz flips to 503 with a
@@ -92,9 +93,11 @@ LOADGEN_RE = re.compile(
 FEATURES = 3
 
 # Client-chosen trace id for the hand-rolled traced request; easy to
-# spot in /debug/requests and the slow-request log.
+# spot in /debug/requests and the event log.
 TRACE_HEX = "deadbeefdeadbeefdeadbeefdeadbeef"
 TRACE_REQ_ID = 424242
+# The event a captured (slow or sampled) request becomes.
+CAPTURED_EVENT = "serve.request.captured"
 # Request stages the server stamps before the response leaves, in
 # pipeline order; "write" (the send itself) follows them.
 PRE_RESPONSE_STAGES = ("parse", "queue", "batch_form", "encode",
@@ -409,26 +412,25 @@ def check_debug_endpoints(metrics_port: int, client_ns: int,
         raise SmokeError("/debug/requests captured_total is zero "
                          "despite --sample-every 1")
     record = next((r for r in debug.get("records", [])
-                   if r.get("trace") == TRACE_HEX), None)
+                   if r.get("event") == CAPTURED_EVENT and
+                   r.get("fields", {}).get("trace") == TRACE_HEX),
+                  None)
     if record is None:
         raise SmokeError(
             f"/debug/requests has no record for trace {TRACE_HEX} "
             f"(records: {len(debug.get('records', []))})")
-    stages = record.get("stages", {})
-    for stage in PRE_RESPONSE_STAGES + ("write",):
-        if stage not in stages:
-            raise SmokeError(f"captured request lacks stage "
-                             f"'{stage}': {stages}")
+    stages = captured_stages(record["fields"])
+    total_ns = int(record["fields"]["total_ns"])
     stage_sum = sum(stages.values())
     if stage_sum <= 0:
         raise SmokeError(f"captured stage breakdown is empty: "
                          f"{stages}")
     # The stages are disjoint sub-intervals of the server's own
     # request window, so their sum can never exceed total_ns.
-    if stage_sum > record["total_ns"]:
+    if stage_sum > total_ns:
         raise SmokeError(
             f"stage breakdown sums to {stage_sum} ns, more than "
-            f"the request's own total {record['total_ns']} ns")
+            f"the request's own total {total_ns} ns")
     # Against the client clock, compare only the stages that finish
     # before the response leaves the server. The write stage ends
     # when send() returns, which can be long after the client has
@@ -464,23 +466,45 @@ def check_debug_endpoints(metrics_port: int, client_ns: int,
           f"/debug endpoints live")
 
 
-def check_slow_log(path: Path) -> None:
+def captured_stages(fields: dict) -> dict:
+    """The stage.<name> fields of one captured-request event, as
+    integer nanoseconds; all seven stages must be present."""
+    stages = {}
+    for stage in PRE_RESPONSE_STAGES + ("write",):
+        value = fields.get("stage." + stage)
+        if value is None:
+            raise SmokeError(f"captured request lacks field "
+                             f"'stage.{stage}': {fields}")
+        stages[stage] = int(value)
+    return stages
+
+
+def read_event_log(path: Path) -> list:
     if not path.is_file():
-        raise SmokeError(f"slow-request log {path} was not written")
-    traced = False
+        raise SmokeError(f"event log {path} was not written")
+    events = []
     for i, line in enumerate(
             path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
+            events.append(json.loads(line))
         except json.JSONDecodeError as exc:
             raise SmokeError(
-                f"slow log line {i} is not valid JSON: {exc}")
-        traced = traced or record.get("trace") == TRACE_HEX
-    if not traced:
-        raise SmokeError(f"slow log never captured trace "
-                         f"{TRACE_HEX}")
+                f"event log line {i} is not valid JSON: {exc}")
+    return events
+
+
+def check_captured_event(path: Path) -> None:
+    """The event log holds the traced request as a captured-request
+    event with its full stage breakdown."""
+    for event in read_event_log(path):
+        fields = event.get("fields", {})
+        if (event.get("event") == CAPTURED_EVENT and
+                fields.get("trace") == TRACE_HEX):
+            captured_stages(fields)
+            return
+    raise SmokeError(f"event log never captured trace {TRACE_HEX}")
 
 
 def emit_bench_json(snapshot: dict, loadgen: re.Match,
@@ -543,14 +567,15 @@ def emit_bench_json(snapshot: dict, loadgen: re.Match,
     return out
 
 
-def wait_for_slow_log(path: Path, timeout_s: float = 5.0) -> None:
+def wait_for_captured_event(path: Path,
+                            timeout_s: float = 5.0) -> None:
     """Wait until the server's periodic flush has written the traced
     request, so a later flood of sampled requests cannot evict it
     from the in-memory ring before it reaches the file."""
     deadline = time.monotonic() + timeout_s
     while True:
         try:
-            check_slow_log(path)
+            check_captured_event(path)
             return
         except SmokeError:
             if time.monotonic() >= deadline:
@@ -559,18 +584,7 @@ def wait_for_slow_log(path: Path, timeout_s: float = 5.0) -> None:
 
 
 def check_event_log(path: Path) -> int:
-    if not path.is_file():
-        raise SmokeError(f"event log {path} was not written")
-    events = []
-    for i, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise SmokeError(
-                f"event log line {i} is not valid JSON: {exc}")
+    events = read_event_log(path)
     names = {e.get("event") for e in events}
     for required in ("serve.start", "serve.shutdown"):
         if required not in names:
@@ -796,7 +810,6 @@ def main() -> int:
     csv = work / "serve_smoke.csv"
     model = work / "serve_smoke_model.bin"
     event_log = work / "serve_events.jsonl"
-    slow_log = work / "serve_slow.jsonl"
     write_csv(csv)
 
     run([args.train, "--input", str(csv), "--output", str(model),
@@ -807,7 +820,7 @@ def main() -> int:
         [args.serve, "--model", str(model), "--port", "0",
          "--metrics-port", "0", "--workers", "2",
          "--event-log", str(event_log), "--max-seconds", "240",
-         "--sample-every", "1", "--slow-log", str(slow_log)],
+         "--sample-every", "1"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     try:
         port, metrics_port = wait_for_ports(server)
@@ -833,7 +846,7 @@ def main() -> int:
         print(f"serve_smoke: {loadgen_out.strip()}")
         churn_phase(port, metrics_port)
 
-        # Traced request last so its slow-log record survives the
+        # Traced request last so its captured event survives the
         # loadgen flood and the /metrics scrape below can carry its
         # exemplar.
         client_ns = traced_request(port)
@@ -854,7 +867,7 @@ def main() -> int:
                            prom) is not None
         if obs_on:
             check_debug_endpoints(metrics_port, client_ns, prom)
-            wait_for_slow_log(slow_log)
+            wait_for_captured_event(event_log)
         else:
             print("serve_smoke: observability compiled out, "
                   "skipping /debug and exemplar checks")
@@ -896,9 +909,9 @@ def main() -> int:
                          f"shutdown:\n{stdout}")
     events = check_event_log(event_log)
     if obs_on:
-        check_slow_log(slow_log)
-        print("serve_smoke: slow-request log flushed with the "
-              "traced request")
+        check_captured_event(event_log)
+        print("serve_smoke: event log flushed with the traced "
+              "request")
     print(f"serve_smoke: clean shutdown, event log flushed "
           f"({events} events)")
     degraded_phase(args.serve, model, work)
