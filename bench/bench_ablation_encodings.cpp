@@ -20,7 +20,7 @@
 #include "hdc/record_encoder.hpp"
 #include "hdc/trainer.hpp"
 #include "lookhd/lookup_encoder.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 int
 main(int argc, char **argv)
@@ -37,11 +37,7 @@ main(int argc, char **argv)
 
         util::Rng rng(19);
         auto levels = std::make_shared<LevelMemory>(2000, 4, rng);
-        auto quantizer =
-            std::make_shared<quant::EqualizedQuantizer>(4);
-        const auto vals = tt.train.allValues();
-        quantizer->fit(
-            std::vector<double>(vals.begin(), vals.end()));
+        const auto quantizer = quant::fitEqualized(tt.train.allValues(), 4);
 
         BaselineEncoder permutation(levels, quantizer);
         RecordEncoder record(levels, quantizer, app.numFeatures,

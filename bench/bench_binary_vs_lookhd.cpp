@@ -12,7 +12,7 @@
 #include "hdc/similarity.hpp"
 #include "lookhd/counter_trainer.hpp"
 #include "lookhd/quantized_inference.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 int
 main(int argc, char **argv)

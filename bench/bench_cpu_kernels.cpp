@@ -19,7 +19,7 @@
 #include "hdc/trainer.hpp"
 #include "lookhd/compressed_model.hpp"
 #include "lookhd/counter_trainer.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 namespace {
 
@@ -31,7 +31,6 @@ struct Env
     data::Dataset train;
     data::Dataset test;
     std::shared_ptr<hdc::LevelMemory> levels;
-    std::shared_ptr<quant::EqualizedQuantizer> quantizer;
     std::unique_ptr<hdc::BaselineEncoder> baseEncoder;
     std::unique_ptr<LookupEncoder> lookEncoder;
     std::unique_ptr<hdc::ClassModel> model;
@@ -49,10 +48,7 @@ struct Env
 
         util::Rng rng(17);
         levels = std::make_shared<hdc::LevelMemory>(2000, 4, rng);
-        quantizer = std::make_shared<quant::EqualizedQuantizer>(4);
-        const auto vals = train.allValues();
-        quantizer->fit(
-            std::vector<double>(vals.begin(), vals.end()));
+        const auto quantizer = quant::fitEqualized(train.allValues(), 4);
         baseEncoder = std::make_unique<hdc::BaselineEncoder>(
             levels, quantizer);
         lookEncoder = std::make_unique<LookupEncoder>(

@@ -20,7 +20,7 @@
 #include "hdc/trainer.hpp"
 #include "hw/cpu_model.hpp"
 #include "hw/report.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -52,10 +52,8 @@ measure(const data::AppSpec &app)
     util::Rng rng(3);
     auto levels =
         std::make_shared<hdc::LevelMemory>(2000, app.paperQ, rng);
-    auto quant = std::make_shared<quant::LinearQuantizer>(app.paperQ);
-    const auto vals = tt.train.allValues();
-    quant->fit(std::vector<double>(vals.begin(), vals.end()));
-    hdc::BaselineEncoder encoder(levels, quant);
+    hdc::BaselineEncoder encoder(
+        levels, quant::fitLinear(tt.train.allValues(), app.paperQ));
 
 #if LOOKHD_OBS_ENABLED
     // Phase boundaries are span-rollup snapshots; the phase times are

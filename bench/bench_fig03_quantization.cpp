@@ -6,8 +6,7 @@
  */
 
 #include "common.hpp"
-#include "quant/equalized_quantizer.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 #include "util/histogram.hpp"
 #include "util/stats.hpp"
 
@@ -33,27 +32,19 @@ main(int argc, char **argv)
                 "percentile clip):\n%s\n",
                 hist.render(48).c_str());
 
-    quant::LinearQuantizer lin(4);
-    quant::EqualizedQuantizer eq(4);
-    lin.fit(sample);
-    eq.fit(sample);
-
     auto show = [&](const char *name, const quant::Quantizer &q) {
         std::printf("%s boundaries:", name);
         for (double b : q.boundaries())
             std::printf(" %.3f", b);
-        std::vector<std::size_t> occupancy(q.levels(), 0);
-        for (double v : sample)
-            ++occupancy[q.level(v)];
         std::printf("   level occupancy:");
-        for (auto c : occupancy)
+        for (auto c : quant::occupancy(q.boundaries(), sample))
             std::printf(" %.1f%%",
                         100.0 * static_cast<double>(c) /
                             static_cast<double>(sample.size()));
         std::printf("\n");
     };
-    show("linear   ", lin);
-    show("equalized", eq);
+    show("linear   ", quant::fitLinear(sample, 4));
+    show("equalized", quant::fitEqualized(sample, 4));
 
     std::printf("\nPaper: feature values are non-uniform; linear "
                 "levels go mostly unused while equalized boundaries "

@@ -15,7 +15,7 @@
 #include "hw/fpga_model.hpp"
 #include "hw/report.hpp"
 #include "hwsim/lookhd_sim.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 int
 main(int argc, char **argv)
@@ -41,11 +41,8 @@ main(int argc, char **argv)
         util::Rng rng(7);
         auto levels = std::make_shared<hdc::LevelMemory>(
             2000, app.lookhdQ, rng);
-        auto quantizer =
-            std::make_shared<quant::EqualizedQuantizer>(app.lookhdQ);
-        const auto vals = train.allValues();
-        quantizer->fit(
-            std::vector<double>(vals.begin(), vals.end()));
+        const auto quantizer =
+            quant::fitEqualized(train.allValues(), app.lookhdQ);
         LookupEncoder encoder(
             levels, quantizer,
             ChunkSpec(app.numFeatures, app.chunkSize), rng);
@@ -84,10 +81,7 @@ main(int argc, char **argv)
     util::Rng rng(7);
     auto levels =
         std::make_shared<hdc::LevelMemory>(2000, app.lookhdQ, rng);
-    auto quantizer =
-        std::make_shared<quant::EqualizedQuantizer>(app.lookhdQ);
-    const auto vals = train.allValues();
-    quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    const auto quantizer = quant::fitEqualized(train.allValues(), app.lookhdQ);
     LookupEncoder encoder(levels, quantizer,
                           ChunkSpec(app.numFeatures, app.chunkSize),
                           rng);

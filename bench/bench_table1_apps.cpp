@@ -12,7 +12,7 @@
 #include "common.hpp"
 #include "hdc/encoder.hpp"
 #include "hdc/trainer.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 namespace {
 
@@ -25,10 +25,8 @@ baselineAccuracy(const data::AppSpec &app, const data::TrainTest &tt)
     util::Rng rng(11);
     auto levels =
         std::make_shared<hdc::LevelMemory>(2000, app.paperQ, rng);
-    auto quant = std::make_shared<quant::LinearQuantizer>(app.paperQ);
-    const auto vals = tt.train.allValues();
-    quant->fit(std::vector<double>(vals.begin(), vals.end()));
-    hdc::BaselineEncoder encoder(levels, quant);
+    hdc::BaselineEncoder encoder(
+        levels, quant::fitLinear(tt.train.allValues(), app.paperQ));
     hdc::BaselineTrainer trainer(encoder);
     hdc::TrainOptions opts;
     opts.retrainEpochs = 5;

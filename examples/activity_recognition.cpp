@@ -18,7 +18,7 @@
 #include "hdc/trainer.hpp"
 #include "lookhd/classifier.hpp"
 #include "lookhd/quantized_inference.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 int
 main()
@@ -40,11 +40,8 @@ main()
         util::Rng rng(1);
         auto levels =
             std::make_shared<hdc::LevelMemory>(2000, app.paperQ, rng);
-        auto quant =
-            std::make_shared<quant::LinearQuantizer>(app.paperQ);
-        const auto vals = tt.train.allValues();
-        quant->fit(std::vector<double>(vals.begin(), vals.end()));
-        hdc::BaselineEncoder encoder(levels, quant);
+        hdc::BaselineEncoder encoder(
+            levels, quant::fitLinear(tt.train.allValues(), app.paperQ));
         hdc::BaselineTrainer trainer(encoder);
         hdc::TrainOptions opts;
         opts.retrainEpochs = 5;

@@ -14,7 +14,7 @@
 #include "data/synthetic.hpp"
 #include "lookhd/counter_trainer.hpp"
 #include "lookhd/retrainer.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 int
 main()
@@ -35,9 +35,7 @@ main()
     // batch; streams then reuse them.
     util::Rng rng(11);
     auto levels = std::make_shared<hdc::LevelMemory>(2000, 4, rng);
-    auto quantizer = std::make_shared<quant::EqualizedQuantizer>(4);
-    const auto vals = calibration.allValues();
-    quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    const auto quantizer = quant::fitEqualized(calibration.allValues(), 4);
     LookupEncoder encoder(levels, quantizer,
                           ChunkSpec(spec.numFeatures, 5), rng);
 

@@ -13,7 +13,7 @@
 #include "data/apps.hpp"
 #include "lookhd/counter_trainer.hpp"
 #include "lookhd/retrainer.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 int
 main()
@@ -32,11 +32,9 @@ main()
 
     // --- 1. Equalized quantization (Sec. III-B) ---
     const std::size_t q = app.lookhdQ;
-    auto quantizer = std::make_shared<quant::EqualizedQuantizer>(q);
-    const auto vals = tt.train.allValues();
-    quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    const auto quantizer = quant::fitEqualized(tt.train.allValues(), q);
     std::printf("Equalized boundaries (q = %zu):", q);
-    for (double b : quantizer->boundaries())
+    for (double b : quantizer.boundaries())
         std::printf(" %.3f", b);
     std::printf("\n");
 

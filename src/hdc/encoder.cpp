@@ -5,33 +5,13 @@
 
 namespace lookhd::hdc {
 
-BaselineEncoder::BaselineEncoder(
-    std::shared_ptr<const LevelMemory> levels,
-    std::shared_ptr<const quant::Quantizer> quantizer)
+BaselineEncoder::BaselineEncoder(std::shared_ptr<const LevelMemory> levels,
+                                 quant::Quantizer quantizer)
     : levels_(std::move(levels)), quantizer_(std::move(quantizer))
 {
-    LOOKHD_CHECK(levels_ && quantizer_, "encoder needs levels and quantizer");
-    LOOKHD_CHECK(quantizer_->fitted(), "quantizer must be fitted");
-    LOOKHD_CHECK(quantizer_->levels() == levels_->levels(),
+    LOOKHD_CHECK(levels_, "encoder needs levels");
+    LOOKHD_CHECK(quantizer_.levels() == levels_->levels(),
                  "quantizer levels do not match level memory");
-}
-
-BaselineEncoder::BaselineEncoder(
-    std::shared_ptr<const LevelMemory> levels,
-    std::shared_ptr<const quant::QuantizerBank> bank)
-    : levels_(std::move(levels)), bank_(std::move(bank))
-{
-    LOOKHD_CHECK(levels_ && bank_, "encoder needs levels and bank");
-    LOOKHD_CHECK(bank_->fitted(), "quantizer bank must be fitted");
-    LOOKHD_CHECK(bank_->levels() == levels_->levels(),
-                 "bank levels do not match level memory");
-}
-
-const quant::Quantizer &
-BaselineEncoder::quantizer() const
-{
-    LOOKHD_CHECK(quantizer_, "encoder uses a per-feature bank");
-    return *quantizer_;
 }
 
 IntHv
@@ -41,10 +21,8 @@ BaselineEncoder::encode(std::span<const double> features) const
     LOOKHD_COUNT_ADD("hdc.encode.calls", 1);
     IntHv acc(dim(), 0);
     for (std::size_t i = 0; i < features.size(); ++i) {
-        const std::size_t lvl = bank_
-                                    ? bank_->level(i, features[i])
-                                    : quantizer_->level(features[i]);
-        addRotated(acc, levels_->at(lvl), i);
+        addRotated(acc, levels_->at(quantizer_.level(i, features[i])),
+                   i);
     }
     return acc;
 }

@@ -21,7 +21,6 @@
 
 #include "hdc/item_memory.hpp"
 #include "quant/quantizer.hpp"
-#include "quant/quantizer_bank.hpp"
 
 namespace lookhd::hdc {
 
@@ -31,14 +30,10 @@ class BaselineEncoder
   public:
     /**
      * @param levels Level memory shared with the rest of the model.
-     * @param quantizer Fitted quantizer with levels() == levels.levels().
+     * @param quantizer Quantizer with levels() == levels.levels().
      */
     BaselineEncoder(std::shared_ptr<const LevelMemory> levels,
-                    std::shared_ptr<const quant::Quantizer> quantizer);
-
-    /** Per-feature quantization variant. */
-    BaselineEncoder(std::shared_ptr<const LevelMemory> levels,
-                    std::shared_ptr<const quant::QuantizerBank> bank);
+                    quant::Quantizer quantizer);
 
     Dim dim() const { return levels_->dim(); }
     std::size_t quantLevels() const { return levels_->levels(); }
@@ -51,16 +46,11 @@ class BaselineEncoder
 
     const LevelMemory &levelMemory() const { return *levels_; }
 
-    /** Whether this encoder quantizes per feature. */
-    bool usesBank() const { return bank_ != nullptr; }
-
-    /** The global quantizer. @pre !usesBank(). */
-    const quant::Quantizer &quantizer() const;
+    const quant::Quantizer &quantizer() const { return quantizer_; }
 
   private:
     std::shared_ptr<const LevelMemory> levels_;
-    std::shared_ptr<const quant::Quantizer> quantizer_;
-    std::shared_ptr<const quant::QuantizerBank> bank_;
+    quant::Quantizer quantizer_;
 };
 
 } // namespace lookhd::hdc

@@ -29,11 +29,7 @@
 #include "hdc/trainer.hpp"
 
 // Quantization
-#include "quant/boundary_quantizer.hpp"
-#include "quant/equalized_quantizer.hpp"
-#include "quant/linear_quantizer.hpp"
 #include "quant/quantizer.hpp"
-#include "quant/quantizer_bank.hpp"
 
 // Data
 #include "data/apps.hpp"

@@ -34,11 +34,7 @@
 namespace lookhd {
 
 /** Which quantization policy fit() calibrates. */
-enum class QuantizationKind
-{
-    kLinear,    ///< Equal-width bins (conventional HDC).
-    kEqualized, ///< Quantile bins (the paper's proposal).
-};
+using quant::QuantizationKind;
 
 /** Full configuration of a LookHD classifier. */
 struct ClassifierConfig
@@ -104,15 +100,13 @@ class Classifier
 
     /**
      * Rebuild a fitted classifier from deserialized parts; used by
-     * serialize.hpp. Exactly one quantization source (quantizer or
-     * bank) matching config.perFeatureQuantization, and at least one
-     * of model / compressed, must be provided.
+     * serialize.hpp. The encoder carries the quantizer, which must be
+     * per-feature exactly when config.perFeatureQuantization is set;
+     * at least one of model / compressed must be provided.
      */
     static Classifier
     restore(ClassifierConfig config,
             std::shared_ptr<const hdc::LevelMemory> levels,
-            std::shared_ptr<const quant::Quantizer> quantizer,
-            std::shared_ptr<const quant::QuantizerBank> bank,
             std::unique_ptr<LookupEncoder> encoder,
             std::optional<hdc::ClassModel> model,
             std::optional<CompressedModel> compressed,
@@ -228,10 +222,8 @@ class Classifier
     const hdc::ClassModel &uncompressedModel() const;
     /** Compressed model; @pre config().compressModel. */
     const CompressedModel &compressedModel() const;
-    /** Global quantizer. @pre !config().perFeatureQuantization. */
+    /** The fitted quantizer (the encoder's). */
     const quant::Quantizer &quantizer() const;
-    /** Per-feature bank. @pre config().perFeatureQuantization. */
-    const quant::QuantizerBank &quantizerBank() const;
 
   private:
     /** Quantized-path scores of one encoded query (batch of one). */
@@ -240,8 +232,6 @@ class Classifier
 
     ClassifierConfig config_;
     std::shared_ptr<const hdc::LevelMemory> levels_;
-    std::shared_ptr<const quant::Quantizer> quantizer_;
-    std::shared_ptr<const quant::QuantizerBank> bank_;
     std::unique_ptr<LookupEncoder> encoder_;
     std::optional<hdc::ClassModel> model_;
     std::optional<CompressedModel> compressed_;

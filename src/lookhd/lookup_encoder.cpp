@@ -10,77 +10,33 @@ namespace lookhd {
 
 LookupEncoder::LookupEncoder(
     std::shared_ptr<const hdc::LevelMemory> levels,
-    std::shared_ptr<const quant::Quantizer> quantizer, ChunkSpec chunks,
-    util::Rng &rng, LookupEncoderConfig config)
-    : levels_(std::move(levels)), quantizer_(std::move(quantizer)),
-      chunks_(chunks),
-      positions_(levels_ ? levels_->dim() : 0, chunks.numChunks(), rng)
+    quant::Quantizer quantizer, ChunkSpec chunks, util::Rng &rng,
+    LookupEncoderConfig config)
+    : LookupEncoder(levels, std::move(quantizer), chunks,
+                    hdc::KeyMemory(levels ? levels->dim() : 0,
+                                   chunks.numChunks(), rng),
+                    config)
 {
-    LOOKHD_CHECK(levels_ && quantizer_, "encoder needs levels and quantizer");
-    LOOKHD_CHECK(quantizer_->fitted(), "quantizer must be fitted");
-    LOOKHD_CHECK(quantizer_->levels() == levels_->levels(),
-                 "quantizer levels do not match level memory");
-    buildTables(config);
 }
 
 LookupEncoder::LookupEncoder(
     std::shared_ptr<const hdc::LevelMemory> levels,
-    std::shared_ptr<const quant::QuantizerBank> bank, ChunkSpec chunks,
-    util::Rng &rng, LookupEncoderConfig config)
-    : levels_(std::move(levels)), bank_(std::move(bank)),
-      chunks_(chunks),
-      positions_(levels_ ? levels_->dim() : 0, chunks.numChunks(), rng)
-{
-    LOOKHD_CHECK(levels_ && bank_, "encoder needs levels and bank");
-    LOOKHD_CHECK(bank_->fitted(), "quantizer bank must be fitted");
-    LOOKHD_CHECK(bank_->levels() == levels_->levels(),
-                 "bank levels do not match level memory");
-    LOOKHD_CHECK(bank_->numFeatures() == chunks_.numFeatures(),
-                 "bank feature count does not match chunk spec");
-    buildTables(config);
-}
-
-LookupEncoder::LookupEncoder(
-    std::shared_ptr<const hdc::LevelMemory> levels,
-    std::shared_ptr<const quant::Quantizer> quantizer, ChunkSpec chunks,
+    quant::Quantizer quantizer, ChunkSpec chunks,
     hdc::KeyMemory positions, LookupEncoderConfig config)
     : levels_(std::move(levels)), quantizer_(std::move(quantizer)),
       chunks_(chunks), positions_(std::move(positions))
 {
-    LOOKHD_CHECK(levels_ && quantizer_, "encoder needs levels and quantizer");
-    LOOKHD_CHECK(quantizer_->fitted(), "quantizer must be fitted");
-    LOOKHD_CHECK(quantizer_->levels() == levels_->levels(),
+    LOOKHD_CHECK(levels_, "encoder needs levels");
+    LOOKHD_CHECK(quantizer_.levels() == levels_->levels(),
                  "quantizer levels do not match level memory");
+    LOOKHD_CHECK(!quantizer_.perFeature() ||
+                     quantizer_.numFeatures() == chunks_.numFeatures(),
+                 "quantizer feature count does not match chunk spec");
     LOOKHD_CHECK(positions_.count() == chunks_.numChunks(),
                  "position key count does not match chunk count");
     LOOKHD_CHECK(positions_.dim() == levels_->dim(),
                  "position key dimensionality mismatch");
-    buildTables(config);
-}
 
-LookupEncoder::LookupEncoder(
-    std::shared_ptr<const hdc::LevelMemory> levels,
-    std::shared_ptr<const quant::QuantizerBank> bank, ChunkSpec chunks,
-    hdc::KeyMemory positions, LookupEncoderConfig config)
-    : levels_(std::move(levels)), bank_(std::move(bank)),
-      chunks_(chunks), positions_(std::move(positions))
-{
-    LOOKHD_CHECK(levels_ && bank_, "encoder needs levels and bank");
-    LOOKHD_CHECK(bank_->fitted(), "quantizer bank must be fitted");
-    LOOKHD_CHECK(bank_->levels() == levels_->levels(),
-                 "bank levels do not match level memory");
-    LOOKHD_CHECK(bank_->numFeatures() == chunks_.numFeatures(),
-                 "bank feature count does not match chunk spec");
-    LOOKHD_CHECK(positions_.count() == chunks_.numChunks(),
-                 "position key count does not match chunk count");
-    LOOKHD_CHECK(positions_.dim() == levels_->dim(),
-                 "position key dimensionality mismatch");
-    buildTables(config);
-}
-
-void
-LookupEncoder::buildTables(const LookupEncoderConfig &config)
-{
     const std::size_t full_len =
         std::min(chunks_.chunkSize(), chunks_.numFeatures());
     fullTable_ = std::make_shared<ChunkLookupTable>(
@@ -98,12 +54,6 @@ LookupEncoder::buildTables(const LookupEncoderConfig &config)
                      fullTable_->addressSpaceSize());
     LOOKHD_GAUGE_SET("lookhd.table.materialized_bytes",
                      materializedBytes());
-}
-
-std::size_t
-LookupEncoder::levelOf(std::size_t feature, double value) const
-{
-    return bank_ ? bank_->level(feature, value) : quantizer_->level(value);
 }
 
 namespace {
@@ -147,7 +97,7 @@ LookupEncoder::forEachAddress(std::span<const double> features,
         const std::size_t first = chunks_.begin(c);
         Address addr = 0;
         for (std::size_t f = first + chunks_.length(c); f-- > first;) {
-            const std::size_t lvl = levelOf(f, features[f]);
+            const std::size_t lvl = quantizer_.level(f, features[f]);
             saturated += (lvl == 0) | (lvl == top);
             addr = addr * q + lvl;
         }
@@ -165,25 +115,11 @@ LookupEncoder::quantize(std::span<const double> features) const
     std::vector<std::size_t> out(features.size());
     std::size_t saturated = 0;
     for (std::size_t f = 0; f < features.size(); ++f) {
-        out[f] = levelOf(f, features[f]);
+        out[f] = quantizer_.level(f, features[f]);
         saturated += (out[f] == 0) | (out[f] == top);
     }
     recordSaturation(out.size(), saturated);
     return out;
-}
-
-const quant::Quantizer &
-LookupEncoder::quantizer() const
-{
-    LOOKHD_CHECK(quantizer_, "encoder uses a per-feature bank");
-    return *quantizer_;
-}
-
-const quant::QuantizerBank &
-LookupEncoder::quantizerBank() const
-{
-    LOOKHD_CHECK(bank_, "encoder uses a global quantizer");
-    return *bank_;
 }
 
 std::vector<Address>

@@ -24,7 +24,6 @@
 #include "lookhd/chunking.hpp"
 #include "lookhd/lookup_table.hpp"
 #include "quant/quantizer.hpp"
-#include "quant/quantizer_bank.hpp"
 
 namespace lookhd {
 
@@ -45,37 +44,23 @@ class LookupEncoder
   public:
     /**
      * @param levels Shared level memory (same alphabets as baseline).
-     * @param quantizer Fitted quantizer, levels() == levels->levels().
+     * @param quantizer Quantizer with levels() == levels->levels(),
+     *        global or with one boundary set per feature of @p chunks.
      * @param chunks Chunking of the feature vector.
      * @param rng Source for the m position hypervectors P_1..P_m.
      */
     LookupEncoder(std::shared_ptr<const hdc::LevelMemory> levels,
-                  std::shared_ptr<const quant::Quantizer> quantizer,
-                  ChunkSpec chunks, util::Rng &rng,
-                  LookupEncoderConfig config = {});
+                  quant::Quantizer quantizer, ChunkSpec chunks,
+                  util::Rng &rng, LookupEncoderConfig config = {});
 
     /**
-     * Per-feature quantization variant: each feature uses its own
-     * fitted quantizer from @p bank (levels() must match the level
-     * memory, numFeatures() must match the chunk spec).
-     */
-    LookupEncoder(std::shared_ptr<const hdc::LevelMemory> levels,
-                  std::shared_ptr<const quant::QuantizerBank> bank,
-                  ChunkSpec chunks, util::Rng &rng,
-                  LookupEncoderConfig config = {});
-
-    /**
-     * Restore variants (deserialization): position keys are supplied
+     * Restore variant (deserialization): position keys are supplied
      * explicitly instead of generated. @pre positions.count() ==
      * chunks.numChunks() and positions.dim() == levels->dim().
      */
     LookupEncoder(std::shared_ptr<const hdc::LevelMemory> levels,
-                  std::shared_ptr<const quant::Quantizer> quantizer,
-                  ChunkSpec chunks, hdc::KeyMemory positions,
-                  LookupEncoderConfig config = {});
-    LookupEncoder(std::shared_ptr<const hdc::LevelMemory> levels,
-                  std::shared_ptr<const quant::QuantizerBank> bank,
-                  ChunkSpec chunks, hdc::KeyMemory positions,
+                  quant::Quantizer quantizer, ChunkSpec chunks,
+                  hdc::KeyMemory positions,
                   LookupEncoderConfig config = {});
 
     hdc::Dim dim() const { return levels_->dim(); }
@@ -109,25 +94,12 @@ class LookupEncoder
 
     const hdc::LevelMemory &levelMemory() const { return *levels_; }
 
-    /** Whether this encoder quantizes per feature. */
-    bool usesBank() const { return bank_ != nullptr; }
-
-    /** The global quantizer. @pre !usesBank(). */
-    const quant::Quantizer &quantizer() const;
-
-    /** The per-feature bank. @pre usesBank(). */
-    const quant::QuantizerBank &quantizerBank() const;
+    const quant::Quantizer &quantizer() const { return quantizer_; }
 
     /** Total bytes of all materialized tables. */
     std::size_t materializedBytes() const;
 
   private:
-    /** Shared tail of both constructors. */
-    void buildTables(const LookupEncoderConfig &config);
-
-    /** Quantized level of @p value as feature @p feature. */
-    std::size_t levelOf(std::size_t feature, double value) const;
-
     /**
      * The shared quantize -> address step: calls visit(c, address)
      * for every chunk c in order.
@@ -144,8 +116,7 @@ class LookupEncoder
                     std::vector<std::int8_t> &scratch) const;
 
     std::shared_ptr<const hdc::LevelMemory> levels_;
-    std::shared_ptr<const quant::Quantizer> quantizer_;
-    std::shared_ptr<const quant::QuantizerBank> bank_;
+    quant::Quantizer quantizer_;
     ChunkSpec chunks_;
     hdc::KeyMemory positions_;
     /** Table for full-size chunks (shared by all of them). */

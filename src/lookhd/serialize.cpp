@@ -5,7 +5,6 @@
 #include <istream>
 #include <ostream>
 
-#include "quant/boundary_quantizer.hpp"
 #include "util/check.hpp"
 
 namespace lookhd {
@@ -108,7 +107,7 @@ readDouble(std::istream &in)
 }
 
 void
-writeDoubles(std::ostream &out, const std::vector<double> &v)
+writeDoubles(std::ostream &out, std::span<const double> v)
 {
     writeU64(out, v.size());
     for (double x : v)
@@ -367,13 +366,13 @@ saveClassifier(const Classifier &clf, std::ostream &out)
     writeU64(out, encoder.chunks().numFeatures());
 
     // Quantization state (boundaries fully determine behaviour).
-    if (cfg.perFeatureQuantization) {
-        const quant::QuantizerBank &bank = clf.quantizerBank();
-        writeU64(out, bank.numFeatures());
-        for (std::size_t f = 0; f < bank.numFeatures(); ++f)
-            writeDoubles(out, bank.at(f).boundaries());
+    const quant::Quantizer &quantizer = encoder.quantizer();
+    if (quantizer.perFeature()) {
+        writeU64(out, quantizer.numFeatures());
+        for (std::size_t f = 0; f < quantizer.numFeatures(); ++f)
+            writeDoubles(out, quantizer.boundaries(f));
     } else {
-        writeDoubles(out, clf.quantizer().boundaries());
+        writeDoubles(out, quantizer.boundaries());
     }
 
     // Level memory.
@@ -476,25 +475,23 @@ loadClassifierImpl(std::istream &in)
     if (num_features == 0 || num_features > kMaxFeatures)
         throw SerializeError("implausible feature count in header");
 
-    std::shared_ptr<const quant::Quantizer> quantizer;
-    std::shared_ptr<const quant::QuantizerBank> bank;
+    // The factories reject NaN or descending boundaries; the
+    // encoder rejects a boundary count that does not match q. Sets
+    // are appended as they are read, so a header claiming 2^24
+    // features costs memory only for the sets the file holds.
+    std::uint64_t sets = 1;
     if (cfg.perFeatureQuantization) {
-        const std::uint64_t bank_features = readU64(in);
-        if (bank_features != num_features)
-            throw SerializeError("bank feature count mismatch");
-        std::vector<std::vector<double>> bounds(bank_features);
-        for (auto &b : bounds)
-            b = readDoubles(in, 1 << 20);
-        bank = std::make_shared<quant::QuantizerBank>(
-            quant::QuantizerBank::fromBoundaries(cfg.quantLevels,
-                                                 bounds));
-    } else {
-        auto bounds = readDoubles(in, 1 << 20);
-        if (bounds.size() + 1 != cfg.quantLevels)
-            throw SerializeError("quantizer boundary mismatch");
-        quantizer =
-            std::make_shared<quant::BoundaryQuantizer>(bounds);
+        sets = readU64(in);
+        if (sets != num_features)
+            throw SerializeError("quantizer feature count mismatch");
     }
+    std::vector<std::vector<double>> bounds;
+    for (std::uint64_t f = 0; f < sets; ++f)
+        bounds.push_back(readDoubles(in, 1 << 20));
+    quant::Quantizer quantizer =
+        cfg.perFeatureQuantization
+            ? quant::Quantizer::fromFeatureBounds(bounds)
+            : quant::Quantizer::fromBounds(std::move(bounds.front()));
 
     const std::uint64_t num_levels = readU64(in);
     if (num_levels != cfg.quantLevels)
@@ -520,15 +517,9 @@ loadClassifierImpl(std::istream &in)
     }
     hdc::KeyMemory positions(std::move(position_hvs));
 
-    std::unique_ptr<LookupEncoder> encoder;
-    if (bank) {
-        encoder = std::make_unique<LookupEncoder>(
-            levels, bank, chunks, std::move(positions), cfg.encoder);
-    } else {
-        encoder = std::make_unique<LookupEncoder>(
-            levels, quantizer, chunks, std::move(positions),
-            cfg.encoder);
-    }
+    auto encoder = std::make_unique<LookupEncoder>(
+        levels, std::move(quantizer), chunks, std::move(positions),
+        cfg.encoder);
 
     const std::uint8_t model_flags = readU8(in);
     if (model_flags == 0 || (model_flags & ~std::uint8_t{3}) != 0)
@@ -592,8 +583,8 @@ loadClassifierImpl(std::istream &in)
     }
 
     Classifier clf = Classifier::restore(
-        std::move(cfg), std::move(levels), std::move(quantizer),
-        std::move(bank), std::move(encoder), std::move(model),
+        std::move(cfg), std::move(levels), std::move(encoder),
+        std::move(model),
         std::move(compressed), std::move(history));
     if (quantized)
         clf.attachQuantized(std::move(quantized));

@@ -988,6 +988,33 @@ InferenceServer::metricsLoop()
     }
 }
 
+bool
+InferenceServer::stalledAt(std::uint64_t busySinceNs, std::uint64_t nowNs,
+                           std::uint64_t deadlineNs)
+{
+    // A batch that started after nowNs was read is not stalled;
+    // unguarded, nowNs - busySinceNs wraps around.
+    return deadlineNs > 0 && busySinceNs != 0 && busySinceNs <= nowNs &&
+           nowNs - busySinceNs >= deadlineNs;
+}
+
+bool
+InferenceServer::overloadHeld(std::uint64_t lastOverloadNs,
+                              std::uint64_t nowNs, std::uint64_t holdNs)
+{
+    // An overload stored after nowNs was read is as fresh as it gets;
+    // unguarded, nowNs - lastOverloadNs wraps and reads as stale.
+    return holdNs > 0 && lastOverloadNs != 0 &&
+           (lastOverloadNs >= nowNs || nowNs - lastOverloadNs < holdNs);
+}
+
+bool
+InferenceServer::overloadRecent(std::uint64_t nowNs) const
+{
+    return overloadHeld(lastOverloadNs_.load(std::memory_order_relaxed),
+                        nowNs, config_.overloadHoldMs * 1'000'000ULL);
+}
+
 InferenceServer::Readiness
 InferenceServer::checkReadiness()
 {
@@ -1002,31 +1029,16 @@ InferenceServer::checkReadiness()
             const util::MutexLock lock(queueMutex_);
             saturated = queue_.size() >= config_.queueCapacity;
         }
-        const std::uint64_t lastOverload =
-            lastOverloadNs_.load(std::memory_order_relaxed);
-        const bool recentOverload =
-            config_.overloadHoldMs > 0 && lastOverload != 0 &&
-            now - lastOverload <
-                config_.overloadHoldMs * 1'000'000ULL;
-        bool stalled = false;
-        if (config_.watchdogDeadlineMs > 0) {
-            for (const auto &state : workerStates_) {
-                const std::uint64_t busySince =
-                    state->busySinceNs.load(
-                        std::memory_order_relaxed);
-                // A batch that started after `now` was read is not
-                // stalled; unguarded, now - busySince wraps around.
-                if (busySince != 0 && busySince <= now &&
-                    now - busySince >= config_.watchdogDeadlineMs *
-                                           1'000'000ULL) {
-                    stalled = true;
-                    break;
-                }
-            }
-        }
+        const bool stalled = std::any_of(
+            workerStates_.begin(), workerStates_.end(),
+            [&](const auto &state) {
+                return stalledAt(
+                    state->busySinceNs.load(std::memory_order_relaxed),
+                    now, config_.watchdogDeadlineMs * 1'000'000ULL);
+            });
         if (saturated) {
             r = {false, "queue_saturated"};
-        } else if (recentOverload) {
+        } else if (overloadRecent(now)) {
             r = {false, "overloaded"};
         } else if (stalled) {
             r = {false, "watchdog_stalled"};
@@ -1052,14 +1064,11 @@ std::string
 InferenceServer::debugHealthBody()
 {
     const Readiness r = checkReadiness();
-    const std::uint64_t now = util::Timer::processNanoseconds();
     std::uint64_t queueDepth = 0;
     {
         const util::MutexLock lock(queueMutex_);
         queueDepth = queue_.size();
     }
-    const std::uint64_t lastOverload =
-        lastOverloadNs_.load(std::memory_order_relaxed);
     obs::JsonWriter w;
     w.beginObject();
     w.kv("ready", r.ready);
@@ -1070,9 +1079,7 @@ InferenceServer::debugHealthBody()
     w.kv("queue_capacity",
          static_cast<std::uint64_t>(config_.queueCapacity));
     w.kv("overload_recent",
-         config_.overloadHoldMs > 0 && lastOverload != 0 &&
-             now - lastOverload <
-                 config_.overloadHoldMs * 1'000'000ULL);
+         overloadRecent(util::Timer::processNanoseconds()));
     w.kv("overload_hold_ms", config_.overloadHoldMs);
     w.endObject();
     if (health_ != nullptr) {
@@ -1141,12 +1148,10 @@ InferenceServer::watchdogLoop()
             WorkerState &state = *workerStates_[i];
             const std::uint64_t busySince =
                 state.busySinceNs.load(std::memory_order_relaxed);
-            if (busySince == 0 || busySince > now)
+            if (!stalledAt(busySince, now,
+                           config_.watchdogDeadlineMs * 1'000'000ULL))
                 continue;
             const std::uint64_t elapsedNs = now - busySince;
-            if (elapsedNs <
-                config_.watchdogDeadlineMs * 1'000'000ULL)
-                continue;
             const std::uint64_t batch =
                 state.batchSeq.load(std::memory_order_relaxed);
             if (batch == state.lastTrippedBatch)

@@ -237,6 +237,24 @@ class InferenceServer
      */
     Readiness checkReadiness();
 
+    /**
+     * The watchdog's stall predicate: whether a batch that started at
+     * @p busySinceNs (0 = worker idle) has run for at least
+     * @p deadlineNs (0 = watchdog off) at @p nowNs. A batch that
+     * started after @p nowNs was read is not stalled.
+     */
+    static bool stalledAt(std::uint64_t busySinceNs, std::uint64_t nowNs,
+                          std::uint64_t deadlineNs);
+
+    /**
+     * The overload-hold predicate: whether the last overload
+     * rejection at @p lastOverloadNs (0 = never) is within
+     * @p holdNs (0 = no hold) of @p nowNs. A rejection stored after
+     * @p nowNs was read counts as recent.
+     */
+    static bool overloadHeld(std::uint64_t lastOverloadNs,
+                             std::uint64_t nowNs, std::uint64_t holdNs);
+
     /** Windowed health engine; null when disabled or compiled out. */
     obs::HealthMonitor *healthMonitor() { return health_.get(); }
 
@@ -265,6 +283,8 @@ class InferenceServer
     std::string debugRequestsBody() const;
     std::string debugInflightBody();
     std::string debugHealthBody();
+    /** overloadHeld() over lastOverloadNs_ and the configured hold. */
+    bool overloadRecent(std::uint64_t nowNs) const;
     std::string debugWindowsBody(const std::string &query);
     /** Blocking CPU-profile capture; sets @p status / @p contentType
      * per outcome (collapsed stacks = text/plain, busy = 503). */

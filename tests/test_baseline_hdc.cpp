@@ -12,8 +12,7 @@
 #include "hdc/encoder.hpp"
 #include "hdc/similarity.hpp"
 #include "hdc/trainer.hpp"
-#include "quant/equalized_quantizer.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -24,16 +23,20 @@ using namespace lookhd::hdc;
 struct Fixture
 {
     std::shared_ptr<LevelMemory> levels;
-    std::shared_ptr<quant::LinearQuantizer> quantizer;
     std::unique_ptr<BaselineEncoder> encoder;
 
     Fixture(Dim dim, std::size_t q, std::uint64_t seed = 1)
     {
         util::Rng rng(seed);
         levels = std::make_shared<LevelMemory>(dim, q, rng);
-        quantizer = std::make_shared<quant::LinearQuantizer>(q);
-        quantizer->fit({0.0, 1.0});
-        encoder = std::make_unique<BaselineEncoder>(levels, quantizer);
+        refit(std::vector<double>{0.0, 1.0});
+    }
+
+    /** Rebuild the encoder around a linear fit of @p values. */
+    void refit(std::span<const double> values)
+    {
+        encoder = std::make_unique<BaselineEncoder>(
+            levels, quant::fitLinear(values, levels->levels()));
     }
 };
 
@@ -44,7 +47,7 @@ TEST(BaselineEncoder, MatchesManualEquationOne)
     const std::vector<double> features{0.1, 0.6, 0.9};
     const IntHv encoded = fx.encoder->encode(features);
 
-    const auto lvls = fx.quantizer->levelsOf(features);
+    const auto lvls = fx.encoder->quantizer().levelsOf(features);
     IntHv manual(512, 0);
     for (std::size_t i = 0; i < lvls.size(); ++i) {
         const BipolarHv rotated = rotate(fx.levels->at(lvls[i]), i);
@@ -58,7 +61,7 @@ TEST(BaselineEncoder, EncodeLevelsAgreesWithEncode)
 {
     Fixture fx(256, 8);
     const std::vector<double> features{0.05, 0.5, 0.95, 0.3};
-    const auto lvls = fx.quantizer->levelsOf(features);
+    const auto lvls = fx.encoder->quantizer().levelsOf(features);
     EXPECT_EQ(fx.encoder->encode(features),
               fx.encoder->encodeLevels(lvls));
 }
@@ -104,13 +107,10 @@ TEST(BaselineEncoder, RejectsMismatchedQuantizer)
 {
     util::Rng rng(1);
     auto levels = std::make_shared<LevelMemory>(128, 4, rng);
-    auto quant8 = std::make_shared<quant::LinearQuantizer>(8);
-    quant8->fit({0.0, 1.0});
-    EXPECT_THROW(BaselineEncoder(levels, quant8),
-                 util::ContractViolation);
-    auto unfitted = std::make_shared<quant::LinearQuantizer>(4);
-    EXPECT_THROW(BaselineEncoder(levels, unfitted),
-                 util::ContractViolation);
+    EXPECT_THROW(
+        BaselineEncoder(levels,
+                        quant::fitLinear(std::vector<double>{0.0, 1.0}, 8)),
+        util::ContractViolation);
 }
 
 TEST(ClassModelTest, AccumulateAndPredict)
@@ -176,7 +176,7 @@ TEST(BaselineTrainerTest, LearnsSeparableProblem)
     Fixture fx(2000, 8, 2);
     // Refit the quantizer on the real value range.
     const auto vals = train.allValues();
-    fx.quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    fx.refit(vals);
 
     BaselineTrainer trainer(*fx.encoder);
     TrainOptions opts;
@@ -198,7 +198,7 @@ TEST(BaselineTrainerTest, RetrainingImprovesTrainAccuracy)
 
     Fixture fx(1000, 4, 3);
     const auto vals = train.allValues();
-    fx.quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    fx.refit(vals);
 
     BaselineTrainer trainer(*fx.encoder);
     TrainOptions opts;
@@ -220,7 +220,7 @@ TEST(BaselineTrainerTest, EarlyStopHaltsBeforeMaxEpochs)
 
     Fixture fx(500, 4, 4);
     const auto vals = train.allValues();
-    fx.quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    fx.refit(vals);
 
     BaselineTrainer trainer(*fx.encoder);
     TrainOptions opts;
@@ -241,7 +241,7 @@ TEST(BaselineTrainerTest, EncodedPathMatchesDatasetPath)
 
     Fixture fx(256, 4, 5);
     const auto vals = train.allValues();
-    fx.quantizer->fit(std::vector<double>(vals.begin(), vals.end()));
+    fx.refit(vals);
 
     BaselineTrainer trainer(*fx.encoder);
     TrainOptions opts;

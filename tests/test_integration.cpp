@@ -13,8 +13,7 @@
 #include "hdc/encoder.hpp"
 #include "hdc/trainer.hpp"
 #include "lookhd/classifier.hpp"
-#include "quant/equalized_quantizer.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 
 namespace {
 
@@ -71,11 +70,8 @@ TEST(Integration, LookhdTracksBaselineHdcAccuracy)
     util::Rng rng(7);
     auto levels =
         std::make_shared<hdc::LevelMemory>(1000, app.paperQ, rng);
-    auto quant =
-        std::make_shared<quant::LinearQuantizer>(app.paperQ);
-    const auto vals = tt.train.allValues();
-    quant->fit(std::vector<double>(vals.begin(), vals.end()));
-    hdc::BaselineEncoder encoder(levels, quant);
+    hdc::BaselineEncoder encoder(
+        levels, quant::fitLinear(tt.train.allValues(), app.paperQ));
     hdc::BaselineTrainer trainer(encoder);
     hdc::TrainOptions opts;
     opts.retrainEpochs = 5;

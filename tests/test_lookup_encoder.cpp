@@ -10,7 +10,7 @@
 
 #include "hdc/similarity.hpp"
 #include "lookhd/lookup_encoder.hpp"
-#include "quant/linear_quantizer.hpp"
+#include "quant/quantizer.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -21,18 +21,17 @@ using namespace lookhd::hdc;
 struct Fixture
 {
     std::shared_ptr<LevelMemory> levels;
-    std::shared_ptr<quant::LinearQuantizer> quantizer;
+    quant::Quantizer quantizer;
     std::unique_ptr<LookupEncoder> encoder;
     util::Rng rng;
 
     Fixture(Dim dim, std::size_t q, std::size_t n, std::size_t r,
             std::uint64_t seed = 1,
             LookupEncoderConfig cfg = {})
-        : rng(seed)
+        : quantizer(quant::fitLinear(std::vector<double>{0.0, 1.0}, q)),
+          rng(seed)
     {
         levels = std::make_shared<LevelMemory>(dim, q, rng);
-        quantizer = std::make_shared<quant::LinearQuantizer>(q);
-        quantizer->fit({0.0, 1.0});
         encoder = std::make_unique<LookupEncoder>(
             levels, quantizer, ChunkSpec(n, r), rng, cfg);
     }
@@ -56,7 +55,7 @@ struct Fixture
             IntHv chunk_hv(encoder->dim(), 0);
             for (std::size_t j = 0; j < chunks.length(c); ++j) {
                 const std::size_t lvl =
-                    quantizer->level(features[chunks.begin(c) + j]);
+                    quantizer.level(features[chunks.begin(c) + j]);
                 addRotated(chunk_hv, levels->at(lvl), j);
             }
             const BipolarHv &key = encoder->positionKeys().at(c);

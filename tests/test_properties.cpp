@@ -13,7 +13,7 @@
 #include "hdc/similarity.hpp"
 #include "lookhd/compressed_model.hpp"
 #include "lookhd/counter_trainer.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -108,11 +108,9 @@ TEST_P(CounterExactness, HoldsForRandomConfigurations)
 
     util::Rng rng(cfg.seed * 7 + 1);
     auto levels = std::make_shared<LevelMemory>(160, cfg.q, rng);
-    auto quant = std::make_shared<quant::EqualizedQuantizer>(cfg.q);
-    const auto vals = train.allValues();
-    quant->fit(std::vector<double>(vals.begin(), vals.end()));
-    LookupEncoder encoder(levels, quant, ChunkSpec(cfg.n, cfg.r),
-                          rng);
+    LookupEncoder encoder(levels,
+                          quant::fitEqualized(train.allValues(), cfg.q),
+                          ChunkSpec(cfg.n, cfg.r), rng);
 
     CounterTrainer trainer(encoder);
     const ClassModel counted = trainer.train(train);
@@ -147,12 +145,11 @@ TEST_P(EncodingLocality, OneFeatureFlipBoundedByChunkShare)
     const std::size_t n = GetParam();
     util::Rng rng(200 + n);
     auto levels = std::make_shared<LevelMemory>(2000, 4, rng);
-    auto quant = std::make_shared<quant::EqualizedQuantizer>(4);
     std::vector<double> sample(4000);
     for (auto &v : sample)
         v = rng.nextDouble();
-    quant->fit(sample);
-    LookupEncoder encoder(levels, quant, ChunkSpec(n, 5), rng);
+    LookupEncoder encoder(levels, quant::fitEqualized(sample, 4),
+                          ChunkSpec(n, 5), rng);
 
     std::vector<double> a(n);
     for (auto &v : a)

@@ -21,7 +21,7 @@
 #include "hdc/similarity.hpp"
 #include "hdc/trainer.hpp"
 #include "lookhd/classifier.hpp"
-#include "quant/equalized_quantizer.hpp"
+#include "quant/quantizer.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -352,10 +352,8 @@ TEST(BinaryModel, LosesAccuracyVersusNonBinaryOnHardProblem)
 
     util::Rng rng(29);
     auto levels = std::make_shared<hdc::LevelMemory>(2000, 4, rng);
-    auto quant = std::make_shared<quant::EqualizedQuantizer>(4);
-    const auto vals = train.allValues();
-    quant->fit(std::vector<double>(vals.begin(), vals.end()));
-    hdc::BaselineEncoder encoder(levels, quant);
+    hdc::BaselineEncoder encoder(
+        levels, quant::fitEqualized(train.allValues(), 4));
 
     hdc::BaselineTrainer trainer(encoder);
     hdc::TrainOptions opts;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the per-feature quantizer bank and its encoder/classifier
- * integration.
+ * Tests for per-feature quantization (one boundary set per feature
+ * column) and its encoder/classifier integration.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 #include "data/synthetic.hpp"
 #include "lookhd/classifier.hpp"
 #include "lookhd/lookup_encoder.hpp"
-#include "quant/quantizer_bank.hpp"
+#include "quant/quantizer.hpp"
 #include "util/check.hpp"
 
 namespace {
@@ -39,14 +39,17 @@ twoScaleData()
 TEST(QuantizerBank, FitsOneQuantizerPerFeature)
 {
     const data::Dataset ds = twoScaleData();
-    QuantizerBank bank(4, BankKind::kEqualized);
-    EXPECT_FALSE(bank.fitted());
-    bank.fit(ds);
-    EXPECT_TRUE(bank.fitted());
+    const Quantizer global =
+        fit(QuantizationKind::kEqualized, ds, 4, false);
+    EXPECT_FALSE(global.perFeature());
+    EXPECT_EQ(global.numFeatures(), 0u);
+    const Quantizer bank = fit(QuantizationKind::kEqualized, ds, 4, true);
+    EXPECT_TRUE(bank.perFeature());
     EXPECT_EQ(bank.numFeatures(), 2u);
+    EXPECT_EQ(bank.levels(), 4u);
     // Each feature's boundaries live on its own scale.
-    EXPECT_LT(bank.at(0).boundaries().back(), 10.0);
-    EXPECT_GT(bank.at(1).boundaries().back(), 100.0);
+    EXPECT_LT(bank.boundaries(0).back(), 10.0);
+    EXPECT_GT(bank.boundaries(1).back(), 100.0);
 }
 
 TEST(QuantizerBank, AllLevelsUsedPerFeature)
@@ -55,8 +58,7 @@ TEST(QuantizerBank, AllLevelsUsedPerFeature)
     // all q levels even though a global quantizer would crush it into
     // level 0.
     const data::Dataset ds = twoScaleData();
-    QuantizerBank bank(4, BankKind::kEqualized);
-    bank.fit(ds);
+    const Quantizer bank = fit(QuantizationKind::kEqualized, ds, 4, true);
     std::vector<bool> seen(4, false);
     for (std::size_t i = 0; i < ds.size(); ++i)
         seen[bank.level(0, ds.row(i)[0])] = true;
@@ -67,8 +69,7 @@ TEST(QuantizerBank, AllLevelsUsedPerFeature)
 TEST(QuantizerBank, LevelsOfRow)
 {
     const data::Dataset ds = twoScaleData();
-    QuantizerBank bank(4, BankKind::kLinear);
-    bank.fit(ds);
+    const Quantizer bank = fit(QuantizationKind::kLinear, ds, 4, true);
     const auto lvls = bank.levelsOf(ds.row(0));
     ASSERT_EQ(lvls.size(), 2u);
     for (auto l : lvls)
@@ -80,13 +81,13 @@ TEST(QuantizerBank, LevelsOfRow)
 TEST(QuantizerBank, FromBoundariesRestoresBehaviour)
 {
     const data::Dataset ds = twoScaleData();
-    QuantizerBank bank(4, BankKind::kEqualized);
-    bank.fit(ds);
+    const Quantizer bank = fit(QuantizationKind::kEqualized, ds, 4, true);
     std::vector<std::vector<double>> bounds;
-    for (std::size_t f = 0; f < bank.numFeatures(); ++f)
-        bounds.push_back(bank.at(f).boundaries());
-    const QuantizerBank restored =
-        QuantizerBank::fromBoundaries(4, bounds);
+    for (std::size_t f = 0; f < bank.numFeatures(); ++f) {
+        const auto b = bank.boundaries(f);
+        bounds.emplace_back(b.begin(), b.end());
+    }
+    const Quantizer restored = Quantizer::fromFeatureBounds(bounds);
     for (std::size_t i = 0; i < ds.size(); ++i)
         EXPECT_EQ(restored.levelsOf(ds.row(i)),
                   bank.levelsOf(ds.row(i)));
@@ -94,29 +95,36 @@ TEST(QuantizerBank, FromBoundariesRestoresBehaviour)
 
 TEST(QuantizerBank, Validation)
 {
-    EXPECT_THROW(QuantizerBank(1, BankKind::kLinear),
+    const data::Dataset ds = twoScaleData();
+    EXPECT_THROW(fit(QuantizationKind::kLinear, ds, 1, true),
                  util::ContractViolation);
-    QuantizerBank bank(4, BankKind::kLinear);
-    EXPECT_THROW(bank.at(0), std::logic_error);
-    EXPECT_THROW(bank.fitColumns({}), util::ContractViolation);
-    EXPECT_THROW(QuantizerBank::fromBoundaries(4, {{1.0}}),
+    EXPECT_THROW(fit(QuantizationKind::kLinear, data::Dataset(2, 2), 4,
+                     true),
+                 util::ContractViolation);
+    const Quantizer bank = fit(QuantizationKind::kLinear, ds, 4, true);
+    EXPECT_THROW(bank.boundaries(2), util::ContractViolation);
+    EXPECT_THROW(bank.level(2, 0.5), util::ContractViolation);
+    EXPECT_THROW(bank.level(0.5), util::ContractViolation);
+    EXPECT_THROW(Quantizer::fromFeatureBounds({}), util::ContractViolation);
+    EXPECT_THROW(Quantizer::fromFeatureBounds({{1.0, 2.0}, {1.0}}),
+                 util::ContractViolation);
+    EXPECT_THROW(Quantizer::fromFeatureBounds({{1.0, 2.0}, {2.0, 1.0}}),
                  util::ContractViolation);
 }
 
 TEST(QuantizerBank, EncoderIntegrationMatchesManualLevels)
 {
     const data::Dataset ds = twoScaleData();
-    auto bank = std::make_shared<QuantizerBank>(
-        4, BankKind::kEqualized);
-    bank->fit(ds);
+    const Quantizer bank = fit(QuantizationKind::kEqualized, ds, 4, true);
 
     util::Rng rng(5);
     auto levels = std::make_shared<hdc::LevelMemory>(512, 4, rng);
     LookupEncoder encoder(levels, bank, ChunkSpec(2, 2), rng);
-    EXPECT_TRUE(encoder.usesBank());
-    EXPECT_THROW(encoder.quantizer(), std::logic_error);
-    EXPECT_EQ(encoder.quantize(ds.row(0)),
-              bank->levelsOf(ds.row(0)));
+    EXPECT_TRUE(encoder.quantizer().perFeature());
+    EXPECT_EQ(encoder.quantize(ds.row(0)), bank.levelsOf(ds.row(0)));
+    // A per-feature quantizer must cover exactly the chunked width.
+    EXPECT_THROW(LookupEncoder(levels, bank, ChunkSpec(3, 2), rng),
+                 util::ContractViolation);
 }
 
 TEST(QuantizerBank, ClassifierPerFeatureBeatsGlobalOnMixedScales)
@@ -165,8 +173,8 @@ TEST(QuantizerBank, ClassifierPerFeatureBeatsGlobalOnMixedScales)
 
     EXPECT_GT(per_feature.evaluate(test),
               global.evaluate(test) + 0.1);
-    EXPECT_NO_THROW(per_feature.quantizerBank());
-    EXPECT_THROW(per_feature.quantizer(), std::logic_error);
+    EXPECT_TRUE(per_feature.quantizer().perFeature());
+    EXPECT_FALSE(global.quantizer().perFeature());
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <sstream>
@@ -104,6 +105,41 @@ TEST(Serialize, RoundTripPerFeatureQuantization)
     for (std::size_t i = 0; i < tt.test.size(); ++i)
         EXPECT_EQ(restored.predict(tt.test.row(i)),
                   original.predict(tt.test.row(i)));
+}
+
+TEST(Serialize, RoundTripPerFeatureLinearWithConstantColumn)
+{
+    // A constant column is a degenerate linear fit: its boundaries
+    // must keep every value in level 0 after a load, exactly as
+    // before the save.
+    const auto tt = smallProblem(6);
+    auto withConstantColumn = [](const data::Dataset &src) {
+        data::Dataset out(src.numFeatures(), src.numClasses());
+        for (std::size_t i = 0; i < src.size(); ++i) {
+            std::vector<double> row(src.row(i).begin(), src.row(i).end());
+            row[3] = 0.25;
+            out.add(row, src.label(i));
+        }
+        return out;
+    };
+    const data::Dataset train = withConstantColumn(tt.train);
+    const data::Dataset test = withConstantColumn(tt.test);
+    ClassifierConfig cfg = smallConfig();
+    cfg.quantization = QuantizationKind::kLinear;
+    cfg.perFeatureQuantization = true;
+    Classifier original(cfg);
+    original.fit(train);
+
+    std::stringstream buffer;
+    saveClassifier(original, buffer);
+    const Classifier restored = loadClassifier(buffer);
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        const auto levels = original.encoder().quantize(test.row(i));
+        EXPECT_EQ(levels[3], 0u);
+        EXPECT_EQ(restored.encoder().quantize(test.row(i)), levels);
+        EXPECT_EQ(restored.predict(test.row(i)),
+                  original.predict(test.row(i)));
+    }
 }
 
 TEST(Serialize, RoundTripGroupedCompression)
@@ -325,6 +361,32 @@ TEST(SerializeHardening, DimensionAndLevelMismatchesRejected)
         ASSERT_EQ(run, 64u) << "no bipolar payload found";
         std::stringstream in(blob);
         EXPECT_THROW(loadClassifier(in), SerializeError);
+    }
+}
+
+TEST(SerializeHardening, BadQuantizerBoundariesRejected)
+{
+    // Global quantizer of the q = 4 blob: boundary count at [67,75),
+    // then the three boundaries. A NaN or descending boundary must
+    // not load (NaN would silently quantize as the top level).
+    const std::string full = fittedBlob(29);
+    constexpr std::size_t kBound0 = 75;
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const struct {
+        std::size_t offset;
+        double value;
+        const char *what;
+    } cases[] = {
+        {kBound0, nan, "NaN first boundary"},
+        {kBound0 + 8, nan, "NaN middle boundary"},
+        {kBound0 + 16, nan, "NaN last boundary"},
+        {kBound0, 1e300, "descending boundaries"},
+    };
+    for (const auto &c : cases) {
+        std::string blob = full;
+        patchU64(blob, c.offset, std::bit_cast<std::uint64_t>(c.value));
+        std::stringstream in(blob);
+        EXPECT_THROW(loadClassifier(in), SerializeError) << c.what;
     }
 }
 

@@ -799,6 +799,27 @@ TEST(ServeHealth, OverloadFlipsHealthzAndRecovers)
     }
     EXPECT_TRUE(recovered) << "healthz stuck unready: " << status;
     server.stop();
+
+    // The hold and stall predicates behind /healthz and the watchdog,
+    // at the edges a racing store reaches: an overload stored after
+    // `now` was read is recent, a batch started after it is not
+    // stalled (neither may wrap the unsigned difference).
+    using serve::InferenceServer;
+    const std::uint64_t now = 5'000'000'000ULL;
+    const std::uint64_t hold = cfg.overloadHoldMs * 1'000'000ULL;
+    EXPECT_TRUE(InferenceServer::overloadHeld(now + 1, now, hold));
+    EXPECT_TRUE(InferenceServer::overloadHeld(now, now, hold));
+    EXPECT_TRUE(InferenceServer::overloadHeld(now - hold + 1, now, hold));
+    EXPECT_FALSE(InferenceServer::overloadHeld(now - hold, now, hold));
+    EXPECT_FALSE(InferenceServer::overloadHeld(0, now, hold));
+    EXPECT_FALSE(InferenceServer::overloadHeld(now, now, 0));
+    const std::uint64_t deadline = 50'000'000ULL;
+    EXPECT_FALSE(InferenceServer::stalledAt(now + 1, now, deadline));
+    EXPECT_FALSE(InferenceServer::stalledAt(0, now, deadline));
+    EXPECT_FALSE(
+        InferenceServer::stalledAt(now - deadline + 1, now, deadline));
+    EXPECT_TRUE(InferenceServer::stalledAt(now - deadline, now, deadline));
+    EXPECT_FALSE(InferenceServer::stalledAt(now - deadline, now, 0));
 }
 
 TEST(ServeHealth, DebugHealthAndWindowsEndpoints)
