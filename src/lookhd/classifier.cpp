@@ -19,6 +19,8 @@ Classifier::Classifier(ClassifierConfig config)
                  "classifier needs at least 2 quantization levels");
     LOOKHD_CHECK(config_.chunkSize > 0,
                  "classifier chunk size must be nonzero");
+    resetTable(Precision::kFloat64);
+    resetTable(Precision::kInt8);
 }
 
 Classifier
@@ -50,6 +52,8 @@ void
 Classifier::fit(const data::Dataset &train)
 {
     LOOKHD_CHECK(!train.empty(), "cannot fit on an empty dataset");
+    resetTable(Precision::kFloat64);
+    resetTable(Precision::kInt8);
 
     LOOKHD_SPAN("classifier.fit", "train");
     LOOKHD_COUNT_ADD("classifier.fit.calls", 1);
@@ -146,107 +150,56 @@ Classifier::scores(std::span<const double> features) const
     LOOKHD_CHECK(fitted(), "classifier not fitted");
     LOOKHD_SPAN("classifier.predict", "search");
     LOOKHD_COUNT_ADD("classifier.predict.calls", 1);
-    const hdc::IntHv query = encoder_->encode(features);
-    std::vector<double> out =
-        precision_ != Precision::kFloat64
-            ? quantizedScores(query)
-            : (compressed_ ? compressed_->scores(query)
-                           : model_->scores(query));
+    std::vector<double> out = rowScores(servingTable(), features);
     LOOKHD_QUALITY_MARGIN("classifier.predict", out);
     return out;
 }
 
 std::vector<double>
-Classifier::quantizedScores(const hdc::IntHv &query) const
+Classifier::rowScores(const ScoreTable *table,
+                      std::span<const double> features) const
 {
-    LOOKHD_CHECK(quantized_, "no quantized serving forms attached");
+    if (table)
+        return table->scores(features);
+    const hdc::IntHv query = encoder_->encode(features);
     const hdc::IntHv *q = &query;
-    // A batch of one: the quantized batch kernels score each query
-    // independently, so this is bit-identical to the batched path.
-    return precision_ == Precision::kInt8
-               ? quantized_->scoresBatchI8(&q, 1)
-               : quantized_->scoresBatchBinary(&q, 1);
-}
-
-namespace {
-
-/**
- * Run fn(lo, hi) over [0, n): inline for one thread, else chunked
- * over a pool. Per-row results never depend on the chunking (the
- * batch kernels share the single-query accumulation order), so any
- * thread count returns the same bits.
- */
-template <class Fn>
-void
-forRows(std::size_t n, std::size_t threads, Fn &&fn)
-{
-    const std::size_t resolved = std::min(par::resolveThreads(threads),
-                                          std::max<std::size_t>(n, 1));
-    if (resolved <= 1) {
-        fn(0, n);
-    } else {
-        par::ThreadPool pool(resolved);
-        pool.parallelFor(0, n, fn);
+    switch (precision_) {
+    case Precision::kInt8:
+        return quantized_->scoresBatchI8(&q, 1);
+    case Precision::kBinary:
+        return quantized_->scoresBatchBinary(&q, 1);
+    case Precision::kFloat64:
+        break;
     }
+    return compressed_ ? compressed_->scores(query)
+                       : model_->scores(query);
 }
-
-} // namespace
 
 std::vector<std::vector<double>>
 Classifier::scoresBatch(std::span<const std::span<const double>> rows,
                         std::size_t threads) const
 {
+    LOOKHD_CHECK(fitted(), "classifier not fitted");
     LOOKHD_SPAN("classifier.predict.batch", "search");
-    return scoresEncoded(encodeRows(rows, threads), threads);
-}
-
-std::vector<hdc::IntHv>
-Classifier::encodeRows(std::span<const std::span<const double>> rows,
-                       std::size_t threads) const
-{
-    LOOKHD_CHECK(fitted(), "classifier not fitted");
-    std::vector<hdc::IntHv> encoded(rows.size());
-    forRows(rows.size(), threads, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-            encoded[i] = encoder_->encode(rows[i]);
-    });
-    return encoded;
-}
-
-std::vector<std::vector<double>>
-Classifier::scoresEncoded(std::span<const hdc::IntHv> encoded,
-                          std::size_t threads) const
-{
-    LOOKHD_CHECK(fitted(), "classifier not fitted");
-    LOOKHD_COUNT_ADD("classifier.predict.calls", encoded.size());
-    const std::size_t k = compressed_ ? compressed_->numClasses()
-                                      : model_->numClasses();
-    std::vector<std::vector<double>> out(encoded.size());
-    // Each chunk of queries is scored in one batch kernel call.
-    forRows(encoded.size(), threads, [&](std::size_t lo, std::size_t hi) {
-        std::vector<const hdc::IntHv *> queries(hi - lo);
-        for (std::size_t i = lo; i < hi; ++i)
-            queries[i - lo] = &encoded[i];
-        const std::vector<double> flat =
-            precision_ == Precision::kInt8
-                ? quantized_->scoresBatchI8(queries.data(),
-                                            queries.size())
-            : precision_ == Precision::kBinary
-                ? quantized_->scoresBatchBinary(queries.data(),
-                                                queries.size())
-            : compressed_
-                ? compressed_->scoresBatch(queries.data(),
-                                           queries.size())
-                : model_->scoresBatch(queries.data(), queries.size());
+    LOOKHD_COUNT_ADD("classifier.predict.calls", rows.size());
+    const ScoreTable *table = servingTable();
+    std::vector<std::vector<double>> out(rows.size());
+    // Rows are scored independently, so any split over threads (1 =
+    // inline, 0 = one per hardware thread) returns the same bits.
+    auto body = [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
-            out[i].assign(flat.begin() +
-                              static_cast<std::ptrdiff_t>((i - lo) * k),
-                          flat.begin() +
-                              static_cast<std::ptrdiff_t>(
-                                  (i - lo + 1) * k));
+            out[i] = rowScores(table, rows[i]);
             LOOKHD_QUALITY_MARGIN("classifier.predict", out[i]);
         }
-    });
+    };
+    const std::size_t resolved = std::min(
+        par::resolveThreads(threads), std::max<std::size_t>(rows.size(), 1));
+    if (resolved <= 1) {
+        body(0, rows.size());
+    } else {
+        par::ThreadPool pool(resolved);
+        pool.parallelFor(0, rows.size(), body);
+    }
     return out;
 }
 
@@ -303,6 +256,7 @@ Classifier::quantize()
     // points, while the per-class prototypes quantize within the
     // 1% budget (gated by bench_quantized_predict). The compressed
     // fallback only serves models restored without prototypes.
+    resetTable(Precision::kInt8);
     if (model_) {
         model_->normalize();
         quantized_ = std::make_shared<const QuantizedServingModel>(
@@ -331,6 +285,7 @@ Classifier::attachQuantized(std::shared_ptr<const QuantizedServingModel> q)
                                       : model_->numClasses();
     LOOKHD_CHECK(q->numClasses() == k,
                  "quantized model class count mismatch");
+    resetTable(Precision::kInt8);
     quantized_ = std::move(q);
 }
 
@@ -341,6 +296,40 @@ Classifier::setServingPrecision(Precision p)
     if (p != Precision::kFloat64 && !quantized_)
         quantize();
     precision_ = p;
+}
+
+const ScoreTable *
+Classifier::servingTable() const
+{
+    LOOKHD_CHECK(fitted(), "classifier not fitted");
+    if (precision_ == Precision::kBinary)
+        return nullptr;
+    const bool int8 = precision_ == Precision::kInt8;
+    TableSlot &slot = *tables_[int8 ? 1 : 0];
+    std::call_once(slot.built, [&] {
+        const std::size_t budget = config_.encoder.materializeBudgetBytes;
+        if (int8) {
+            slot.table =
+                ScoreTable::fromInt8Rows(*encoder_, *quantized_, budget);
+        } else if (compressed_) {
+            std::vector<hdc::RealHv> rows;
+            rows.reserve(compressed_->numClasses());
+            for (std::size_t c = 0; c < compressed_->numClasses(); ++c)
+                rows.push_back(compressed_->effectiveRow(c));
+            slot.table = ScoreTable::fromRealRows(*encoder_, rows, budget);
+        } else {
+            slot.table = ScoreTable::fromRealRows(
+                *encoder_, model_->normalizedClasses(), budget);
+        }
+    });
+    return slot.table ? &*slot.table : nullptr;
+}
+
+void
+Classifier::resetTable(Precision p)
+{
+    tables_[p == Precision::kInt8 ? 1 : 0] =
+        std::make_unique<TableSlot>();
 }
 
 const LookupEncoder &

@@ -20,6 +20,7 @@
 #ifndef LOOKHD_LOOKHD_CLASSIFIER_HPP
 #define LOOKHD_LOOKHD_CLASSIFIER_HPP
 
+#include <array>
 #include <memory>
 #include <optional>
 
@@ -30,6 +31,8 @@
 #include "lookhd/counter_trainer.hpp"
 #include "lookhd/quantized_inference.hpp"
 #include "lookhd/retrainer.hpp"
+#include "lookhd/score_table.hpp"
+#include "util/thread_annotations.hpp" // std::once_flag
 
 namespace lookhd {
 
@@ -127,35 +130,23 @@ class Classifier
     /** Predicted class of a raw feature vector. @pre fitted(). */
     std::size_t predict(std::span<const double> features) const;
 
-    /** Per-class scores of a raw feature vector. @pre fitted(). */
+    /**
+     * Per-class scores of a raw feature vector in the serving
+     * precision. float64 and int8 serve from the score table (one
+     * quantize-and-lookup pass, see score_table.hpp), built on first
+     * use; binary, and a table that does not fit, encode and score.
+     * @pre fitted().
+     */
     std::vector<double> scores(std::span<const double> features) const;
 
     /**
-     * Scores for a batch of feature rows: encodeRows() followed by
-     * scoresEncoded(). out[i] == scores(rows[i]) bit for bit, for
-     * every @p threads (1 = inline, 0 = one per hardware thread).
-     * @pre fitted().
+     * Scores for a batch of feature rows. out[i] == scores(rows[i])
+     * bit for bit, for every @p threads (1 = inline, 0 = one per
+     * hardware thread). @pre fitted().
      */
     std::vector<std::vector<double>>
     scoresBatch(std::span<const std::span<const double>> rows,
                 std::size_t threads = 1) const;
-
-    /**
-     * The encode half of scoresBatch(): out[i] ==
-     * encoder().encode(rows[i]), for every @p threads. @pre fitted().
-     */
-    std::vector<hdc::IntHv>
-    encodeRows(std::span<const std::span<const double>> rows,
-               std::size_t threads = 1) const;
-
-    /**
-     * The score half of scoresBatch(): per-class scores of encoded
-     * queries in the serving precision, through the batch similarity
-     * kernels, for every @p threads. @pre fitted().
-     */
-    std::vector<std::vector<double>>
-    scoresEncoded(std::span<const hdc::IntHv> encoded,
-                  std::size_t threads = 1) const;
 
     /**
      * Predicted classes for a batch of feature rows; identical labels
@@ -208,9 +199,18 @@ class Classifier
     /**
      * Select the arithmetic scores()/scoresBatch() serve with.
      * kInt8/kBinary build the quantized forms on demand when none
-     * are attached yet. @pre fitted().
+     * are attached yet; a score table is built on first use
+     * (servingTable()). @pre fitted().
      */
     void setServingPrecision(Precision p);
+
+    /**
+     * The score table serving the current precision, building it on
+     * first use; null for binary and when the table exceeds
+     * config().encoder.materializeBudgetBytes or could overflow its
+     * int32 sums (scoring then encodes). @pre fitted().
+     */
+    const ScoreTable *servingTable() const;
 
     /** Currently selected serving arithmetic. */
     Precision servingPrecision() const { return precision_; }
@@ -226,9 +226,22 @@ class Classifier
     const quant::Quantizer &quantizer() const;
 
   private:
-    /** Quantized-path scores of one encoded query (batch of one). */
-    std::vector<double>
-    quantizedScores(const hdc::IntHv &query) const;
+    /**
+     * Scores of one row in the serving precision: from @p table, or
+     * (null) encoded and scored by the serving model.
+     */
+    std::vector<double> rowScores(const ScoreTable *table,
+                                  std::span<const double> features) const;
+
+    /** A score table slot, built at most once per model. */
+    struct TableSlot
+    {
+        std::once_flag built;
+        std::optional<ScoreTable> table;
+    };
+
+    /** Forget the built table of @p p (its model changed). */
+    void resetTable(Precision p);
 
     ClassifierConfig config_;
     std::shared_ptr<const hdc::LevelMemory> levels_;
@@ -237,6 +250,8 @@ class Classifier
     std::optional<CompressedModel> compressed_;
     std::shared_ptr<const QuantizedServingModel> quantized_;
     Precision precision_ = Precision::kFloat64;
+    /** float64 and int8 score tables. */
+    std::array<std::unique_ptr<TableSlot>, 2> tables_;
     std::vector<double> retrainHistory_;
 };
 

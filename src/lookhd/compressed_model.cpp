@@ -138,6 +138,21 @@ CompressedModel::groupOf(std::size_t cls) const
     return cls / groupSize_;
 }
 
+hdc::RealHv
+CompressedModel::effectiveRow(std::size_t cls) const
+{
+    const hdc::RealHv &group = groups_[groupOf(cls)];
+    const hdc::BipolarHv &key = keys_.at(cls);
+    const bool scaled = config_.scaleScores && norms_[cls] > 0.0;
+    hdc::RealHv row(dim_);
+    for (std::size_t i = 0; i < dim_; ++i) {
+        row[i] = group[i] * static_cast<double>(key[i]);
+        if (scaled)
+            row[i] /= norms_[cls];
+    }
+    return row;
+}
+
 double
 CompressedModel::rawScore(std::size_t cls, const hdc::IntHv &query) const
 {

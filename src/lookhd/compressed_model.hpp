@@ -119,6 +119,14 @@ class CompressedModel
     const hdc::KeyMemory &classKeys() const { return keys_; }
 
     /**
+     * The row scores() dots a query with for class @p cls:
+     * P'_cls * C_g(cls), divided by the tracked norm when the model
+     * scales scores. scores()[cls] equals dot(query, effectiveRow(cls))
+     * up to rounding.
+     */
+    hdc::RealHv effectiveRow(std::size_t cls) const;
+
+    /**
      * Recovered per-class scores of @p query: dot(query * P'_i, C_g),
      * optionally divided by the tracked class norm.
      */

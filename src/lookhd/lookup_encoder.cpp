@@ -1,6 +1,6 @@
 #include "lookhd/lookup_encoder.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
 #include "hdc/kernels.hpp"
 #include "obs/obs.hpp"
@@ -24,7 +24,8 @@ LookupEncoder::LookupEncoder(
     quant::Quantizer quantizer, ChunkSpec chunks,
     hdc::KeyMemory positions, LookupEncoderConfig config)
     : levels_(std::move(levels)), quantizer_(std::move(quantizer)),
-      chunks_(chunks), positions_(std::move(positions))
+      chunks_(chunks), positions_(std::move(positions)),
+      budgetBytes_(config.materializeBudgetBytes)
 {
     LOOKHD_CHECK(levels_, "encoder needs levels");
     LOOKHD_CHECK(quantizer_.levels() == levels_->levels(),
@@ -36,48 +37,47 @@ LookupEncoder::LookupEncoder(
                  "position key count does not match chunk count");
     LOOKHD_CHECK(positions_.dim() == levels_->dim(),
                  "position key dimensionality mismatch");
-
-    const std::size_t full_len =
-        std::min(chunks_.chunkSize(), chunks_.numFeatures());
-    fullTable_ = std::make_shared<ChunkLookupTable>(
-        levels_, full_len, config.materializeBudgetBytes);
-    if (!chunks_.uniform()) {
-        const std::size_t tail_len =
-            chunks_.length(chunks_.numChunks() - 1);
-        if (tail_len != full_len) {
-            tailTable_ = std::make_shared<ChunkLookupTable>(
-                levels_, tail_len, config.materializeBudgetBytes);
-        }
-    }
-    LOOKHD_COUNT_ADD("lookhd.table.builds", 1);
-    LOOKHD_GAUGE_SET("lookhd.table.address_space",
-                     fullTable_->addressSpaceSize());
-    LOOKHD_GAUGE_SET("lookhd.table.materialized_bytes",
-                     materializedBytes());
+    // q^r must fit an address: the same check the table build makes,
+    // here so a bad chunking fails at construction, not first encode.
+    addressSpace(levels_->levels(),
+                 std::min(chunks_.chunkSize(), chunks_.numFeatures()));
 }
 
 namespace {
 
-/**
- * Saturation telemetry: how many values land in the edge levels
- * (0 and q-1). Under linear quantization, out-of-range test values
- * clamp to the edges; a high saturation fraction is the failure mode
- * equalized quantization avoids (Fig. 3/4). Counted locally by the
- * caller, then two atomic adds per row.
- */
-void
-recordSaturation([[maybe_unused]] std::size_t values,
-                 [[maybe_unused]] std::size_t saturated)
+/** Bytes of @p table's dense slab; 0 when absent or on the fly. */
+std::size_t
+residentBytes(const ChunkLookupTable *table)
 {
-#if LOOKHD_OBS_ENABLED
-    if (obs::enabled()) {
-        LOOKHD_COUNT_ADD("quant.level.values", values);
-        LOOKHD_COUNT_ADD("quant.level.saturated", saturated);
-    }
-#endif
+    return table && table->materialized() ? table->tableBytes() : 0;
 }
 
 } // namespace
+
+const LookupEncoder::Tables &
+LookupEncoder::tables() const
+{
+    std::call_once(tables_->built, [this] {
+        Tables &t = *tables_;
+        const std::size_t full_len =
+            std::min(chunks_.chunkSize(), chunks_.numFeatures());
+        t.full = std::make_unique<const ChunkLookupTable>(
+            levels_, full_len, budgetBytes_);
+        const std::size_t tail_len =
+            chunks_.length(chunks_.numChunks() - 1);
+        if (tail_len != full_len) {
+            t.tail = std::make_unique<const ChunkLookupTable>(
+                levels_, tail_len, budgetBytes_);
+        }
+        LOOKHD_COUNT_ADD("lookhd.table.builds", 1);
+        LOOKHD_GAUGE_SET("lookhd.table.address_space",
+                         t.full->addressSpaceSize());
+        LOOKHD_GAUGE_SET("lookhd.table.materialized_bytes",
+                         residentBytes(t.full.get()) +
+                             residentBytes(t.tail.get()));
+    });
+    return *tables_;
+}
 
 template <class Visit>
 void
@@ -103,7 +103,7 @@ LookupEncoder::forEachAddress(std::span<const double> features,
         }
         visit(c, addr);
     }
-    recordSaturation(features.size(), saturated);
+    quant::recordSaturation(features.size(), saturated);
 }
 
 std::vector<std::size_t>
@@ -118,7 +118,7 @@ LookupEncoder::quantize(std::span<const double> features) const
         out[f] = quantizer_.level(f, features[f]);
         saturated += (out[f] == 0) | (out[f] == top);
     }
-    recordSaturation(out.size(), saturated);
+    quant::recordSaturation(out.size(), saturated);
     return out;
 }
 
@@ -170,20 +170,17 @@ const ChunkLookupTable &
 LookupEncoder::tableFor(std::size_t c) const
 {
     LOOKHD_CHECK_BOUNDS(c, chunks_.numChunks());
-    if (tailTable_ && c == chunks_.numChunks() - 1)
-        return *tailTable_;
-    return *fullTable_;
+    const Tables &t = tables();
+    if (t.tail && c == chunks_.numChunks() - 1)
+        return *t.tail;
+    return *t.full;
 }
 
 std::size_t
 LookupEncoder::materializedBytes() const
 {
-    std::size_t bytes = 0;
-    if (fullTable_->materialized())
-        bytes += fullTable_->tableBytes();
-    if (tailTable_ && tailTable_->materialized())
-        bytes += tailTable_->tableBytes();
-    return bytes;
+    const Tables &t = tables();
+    return residentBytes(t.full.get()) + residentBytes(t.tail.get());
 }
 
 } // namespace lookhd

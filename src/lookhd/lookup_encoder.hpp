@@ -11,6 +11,10 @@
  *
  * The result is bit-exact with encoding each chunk through Eq. 2
  * directly - the lookup is pure computation reuse.
+ *
+ * The chunk tables are built on first use (the first encode, or a
+ * tableFor() / materializedBytes() call), so a classifier that
+ * serves only through its score table never pays for them.
  */
 
 #ifndef LOOKHD_LOOKHD_LOOKUP_ENCODER_HPP
@@ -24,6 +28,7 @@
 #include "lookhd/chunking.hpp"
 #include "lookhd/lookup_table.hpp"
 #include "quant/quantizer.hpp"
+#include "util/thread_annotations.hpp" // std::once_flag
 
 namespace lookhd {
 
@@ -31,9 +36,11 @@ namespace lookhd {
 struct LookupEncoderConfig
 {
     /**
-     * Memory budget for materializing dense chunk tables. Tables
-     * beyond the budget fall back to on-the-fly row computation
-     * (identical results, no reuse).
+     * Memory budget for materializing dense tables: chunk tables
+     * beyond it fall back to on-the-fly row computation (identical
+     * results, no reuse), and a classifier whose score table
+     * (score_table.hpp) would exceed it serves through encode +
+     * score instead.
      */
     std::size_t materializeBudgetBytes = std::size_t{64} << 20;
 };
@@ -86,7 +93,7 @@ class LookupEncoder
     hdc::IntHv
     encodeFromAddresses(std::span<const Address> addresses) const;
 
-    /** The lookup table serving chunk @p c. */
+    /** The lookup table serving chunk @p c (built on first use). */
     const ChunkLookupTable &tableFor(std::size_t c) const;
 
     /** Position hypervectors P_1..P_m. */
@@ -96,7 +103,10 @@ class LookupEncoder
 
     const quant::Quantizer &quantizer() const { return quantizer_; }
 
-    /** Total bytes of all materialized tables. */
+    /**
+     * Total bytes of all materialized chunk tables, building them
+     * first if nothing has encoded yet.
+     */
     std::size_t materializedBytes() const;
 
   private:
@@ -115,14 +125,26 @@ class LookupEncoder
     void accumulate(std::size_t c, Address addr, std::int32_t *acc,
                     std::vector<std::int8_t> &scratch) const;
 
+    /** The chunk tables, built once on first use. */
+    struct Tables
+    {
+        std::once_flag built;
+        /** Table for full-size chunks (shared by all of them). */
+        std::unique_ptr<const ChunkLookupTable> full;
+        /** Table for the trailing short chunk, if n % r != 0. */
+        std::unique_ptr<const ChunkLookupTable> tail;
+    };
+
+    /** The chunk tables, building them on the first call. */
+    const Tables &tables() const;
+
     std::shared_ptr<const hdc::LevelMemory> levels_;
     quant::Quantizer quantizer_;
     ChunkSpec chunks_;
     hdc::KeyMemory positions_;
-    /** Table for full-size chunks (shared by all of them). */
-    std::shared_ptr<ChunkLookupTable> fullTable_;
-    /** Table for the trailing short chunk, if n % r != 0. */
-    std::shared_ptr<ChunkLookupTable> tailTable_;
+    std::size_t budgetBytes_;
+    /** Shared by copies, like the tables it holds. */
+    std::shared_ptr<Tables> tables_ = std::make_shared<Tables>();
 };
 
 } // namespace lookhd

@@ -152,23 +152,11 @@ QuantizedServingModel::fromClassModel(const hdc::ClassModel &model)
 QuantizedServingModel
 QuantizedServingModel::fromCompressedModel(const CompressedModel &model)
 {
-    const std::size_t k = model.numClasses();
-    const hdc::Dim dim = model.dim();
-    std::vector<hdc::RealHv> rows(k, hdc::RealHv(dim));
-    for (std::size_t c = 0; c < k; ++c) {
-        const hdc::RealHv &group = model.groupHv(model.groupOf(c));
-        const hdc::BipolarHv &key = model.classKeys().at(c);
-        const double norm = model.trackedNorm(c);
-        const bool scaled =
-            model.config().scaleScores && norm > 0.0;
-        for (std::size_t i = 0; i < dim; ++i) {
-            double v = group[i] * static_cast<double>(key[i]);
-            if (scaled)
-                v /= norm;
-            rows[c][i] = v;
-        }
-    }
-    return fromRows(dim, rows);
+    std::vector<hdc::RealHv> rows;
+    rows.reserve(model.numClasses());
+    for (std::size_t c = 0; c < model.numClasses(); ++c)
+        rows.push_back(model.effectiveRow(c));
+    return fromRows(model.dim(), rows);
 }
 
 QuantizedServingModel

@@ -1,5 +1,6 @@
 #include "lookhd/serialize.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -89,21 +90,37 @@ readU64(std::istream &in)
     return v;
 }
 
+/**
+ * Read @p count little-endian u64 words, calling put(i, word) for
+ * word i: one stream read per block of words instead of per word,
+ * through a fixed buffer, so a hostile count costs no more memory
+ * than the caller's own allocation.
+ */
+template <class Put>
+void
+readU64s(std::istream &in, std::uint64_t count, Put put)
+{
+    constexpr std::size_t kBlock = 512;
+    std::uint8_t bytes[kBlock * 8];
+    for (std::uint64_t i = 0; i < count;) {
+        const auto n =
+            static_cast<std::size_t>(std::min<std::uint64_t>(kBlock, count - i));
+        readBytes(in, bytes, n * 8);
+        for (std::size_t j = 0; j < n; ++j, ++i) {
+            std::uint64_t v = 0;
+            for (int b = 0; b < 8; ++b)
+                v |= static_cast<std::uint64_t>(bytes[j * 8 + b]) << (8 * b);
+            put(i, v);
+        }
+    }
+}
+
 void
 writeDouble(std::ostream &out, double v)
 {
     std::uint64_t bits;
     std::memcpy(&bits, &v, 8);
     writeU64(out, bits);
-}
-
-double
-readDouble(std::istream &in)
-{
-    const std::uint64_t bits = readU64(in);
-    double v;
-    std::memcpy(&v, &bits, 8);
-    return v;
 }
 
 void
@@ -121,8 +138,9 @@ readDoubles(std::istream &in, std::uint64_t cap = ~std::uint64_t{0})
     if (count > cap)
         throw SerializeError("implausible array length");
     std::vector<double> v(count);
-    for (auto &x : v)
-        x = readDouble(in);
+    readU64s(in, count, [&](std::uint64_t i, std::uint64_t bits) {
+        std::memcpy(&v[i], &bits, 8);
+    });
     return v;
 }
 
@@ -164,10 +182,9 @@ readIntHv(std::istream &in)
     if (size > (std::uint64_t{1} << 28))
         throw SerializeError("implausible hypervector size");
     hdc::IntHv hv(size);
-    for (auto &v : hv) {
-        v = static_cast<std::int32_t>(
-            static_cast<std::int64_t>(readU64(in)));
-    }
+    readU64s(in, size, [&](std::uint64_t i, std::uint64_t word) {
+        hv[i] = static_cast<std::int32_t>(static_cast<std::int64_t>(word));
+    });
     return hv;
 }
 

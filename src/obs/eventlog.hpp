@@ -21,7 +21,7 @@
  *
  *   {"ts_ms":<unix wall millis>,"elapsed_ns":<process monotonic>,
  *    "level":"info","event":"serve.request.captured","thread":<tid>,
- *    "fields":{"reason":"slow","stage.encode":"48211",...}}
+ *    "fields":{"reason":"slow","stage.score":"48211",...}}
  *
  * Flushed events stay in their ring until overwritten, so
  * snapshot() can serve a live peek (/debug/requests) of everything

@@ -129,8 +129,6 @@ reqStageName(ReqStage stage)
         return "queue";
     case ReqStage::kBatchForm:
         return "batch_form";
-    case ReqStage::kEncode:
-        return "encode";
     case ReqStage::kScore:
         return "score";
     case ReqStage::kSerialize:

@@ -83,10 +83,9 @@ bool parseTraceIdHex(std::string_view hex, TraceId &out);
  *   parse       request line -> validated Request
  *   queue       enqueue -> popped by a worker
  *   batch_form  pop -> batch dispatched (gather wait)
- *   encode      lookup encoding of the batch's rows (shared by the
- *               batch)
- *   score       the batched similarity kernel pass (shared by the
- *               batch)
+ *   score       Classifier::scoresBatch over the batch: the score
+ *               table pass, or encode + popcount for binary (shared
+ *               by the batch)
  *   serialize   response JSON build
  *   write       response socket write
  */
@@ -95,13 +94,12 @@ enum class ReqStage : std::uint8_t
     kParse = 0,
     kQueue,
     kBatchForm,
-    kEncode,
     kScore,
     kSerialize,
     kWrite,
 };
 
-inline constexpr std::size_t kReqStageCount = 7;
+inline constexpr std::size_t kReqStageCount = 6;
 
 /** Lower-case stage name ("parse", "queue", ...). */
 const char *reqStageName(ReqStage stage);

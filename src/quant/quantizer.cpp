@@ -178,6 +178,18 @@ Quantizer::levelsOf(std::span<const double> row) const
     return out;
 }
 
+void
+recordSaturation([[maybe_unused]] std::size_t values,
+                 [[maybe_unused]] std::size_t saturated)
+{
+#if LOOKHD_OBS_ENABLED
+    if (obs::enabled()) {
+        LOOKHD_COUNT_ADD("quant.level.values", values);
+        LOOKHD_COUNT_ADD("quant.level.saturated", saturated);
+    }
+#endif
+}
+
 Quantizer
 fitLinear(std::span<const double> sample, std::size_t levels)
 {

@@ -160,6 +160,16 @@ Quantizer fit(QuantizationKind kind, const data::Dataset &ds,
               std::size_t levels, bool perFeature);
 
 /**
+ * Saturation telemetry of quantized rows: @p values levels were
+ * taken, @p saturated of them in an edge level (0 or q-1). Under
+ * linear quantization out-of-range values clamp to the edges; a high
+ * saturated fraction is the failure mode equalized quantization
+ * avoids (Fig. 3/4). Callers count locally and report once per row
+ * (quant.level.values / quant.level.saturated).
+ */
+void recordSaturation(std::size_t values, std::size_t saturated);
+
+/**
  * Per-level occupancy of @p sample over ascending @p bounds: how
  * many sample values map to each level. The shape of this profile
  * is the paper's Fig. 3 argument - equalized quantization keeps it

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
 #include <utility>
 
 #include "hdc/kernels.hpp"
@@ -303,6 +304,12 @@ InferenceServer::start()
         precision = *precisionFromName(config_.precision);
     }
     classifier_.setServingPrecision(precision);
+    // Build the score table while the listeners and threads come up
+    // instead of on the first batch; get() below rethrows a failed
+    // build, and an early throw still waits for it (future dtor).
+    std::future<void> table = std::async(std::launch::async, [this] {
+        classifier_.servingTable();
+    });
 
     requestListener_ = TcpListener::bind(config_.port);
     metricsListener_ = TcpListener::bind(config_.metricsPort);
@@ -339,6 +346,8 @@ InferenceServer::start()
     obs::MetricRegistry::global().setLabel(
         "precision",
         precisionName(classifier_.servingPrecision()));
+
+    table.get();
 
     obs::EventLog::global().emit(
         obs::LogLevel::kInfo, "serve.start",
@@ -635,24 +644,20 @@ InferenceServer::processBatch(std::vector<Request> &batch,
         quantizedRequests_.add(
             static_cast<std::uint64_t>(batch.size()));
 
-    // Encode, then one batched kernel pass over the whole batch: the
-    // two halves of Classifier::scoresBatch, stamped separately and
-    // bit-identical to per-request classifier_.scores().
+    // One Classifier::scoresBatch call scores the whole batch (the
+    // score-table pass for float64/int8, encode + popcount for
+    // binary), bit-identical to per-request classifier_.scores().
     std::vector<std::span<const double>> rows;
     rows.reserve(batch.size());
     for (const Request &req : batch)
         rows.emplace_back(req.fields.features);
     std::vector<std::vector<double>> batchScores;
-    const std::uint64_t encodeStartNs =
+    const std::uint64_t scoreStartNs =
         util::Timer::processNanoseconds();
-    std::uint64_t scoreStartNs = 0;
     {
         LOOKHD_SPAN("serve.predict", "serve");
-        state.enter(obs::ReqStage::kEncode);
-        const std::vector<hdc::IntHv> encoded = classifier_.encodeRows(rows);
-        scoreStartNs = util::Timer::processNanoseconds();
         state.enter(obs::ReqStage::kScore);
-        batchScores = classifier_.scoresEncoded(encoded);
+        batchScores = classifier_.scoresBatch(rows);
         // Load-testing aid: inflate the scoring stage so overload
         // and latency-SLO scenarios reproduce deterministically.
         if (config_.scoreDelayNs > 0)
@@ -671,8 +676,6 @@ InferenceServer::processBatch(std::vector<Request> &batch,
         const std::vector<double> &scores = batchScores[i];
         const std::size_t pred = hdc::argmax(scores);
         LOOKHD_QUALITY_MARGIN("serve.predict", scores);
-        req.ctx.setStage(obs::ReqStage::kEncode,
-                         scoreStartNs - encodeStartNs);
         req.ctx.setStage(obs::ReqStage::kScore,
                          scoreEndNs - scoreStartNs);
 

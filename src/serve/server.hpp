@@ -52,7 +52,7 @@
  * Request tracing: every request carries an obs::RequestContext
  * (128-bit trace id from the request's `trace` field or generated
  * server-side, echoed in the response) and stamps one duration per
- * pipeline stage (parse/queue/batch_form/encode/score/serialize/
+ * pipeline stage (parse/queue/batch_form/score/serialize/
  * write).
  * Stage durations feed per-stage histograms and exemplars on the
  * request-latency histogram. A request over slowThresholdNs, or

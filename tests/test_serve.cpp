@@ -618,8 +618,9 @@ TEST(ServeDebug, DebugEndpointsExposeCapturedRequests)
         ASSERT_NE(fields, nullptr) << body;
         ASSERT_NE(fields->find("reason"), nullptr);
         EXPECT_EQ(fields->find("reason")->string, "sampled");
-        ASSERT_NE(fields->find("stage.encode"), nullptr);
-        EXPECT_FALSE(fields->find("stage.encode")->string.empty());
+        ASSERT_NE(fields->find("stage.score"), nullptr);
+        EXPECT_FALSE(fields->find("stage.score")->string.empty());
+        EXPECT_EQ(fields->find("stage.encode"), nullptr);
     } else {
         EXPECT_EQ(debugDoc->find("captured_total")->number, 0.0);
     }

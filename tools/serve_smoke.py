@@ -43,7 +43,7 @@ Round trip, in one process tree:
      flushed (serve.start and serve.shutdown both present, every
      line valid JSON); with observability on, the event log must
      hold the traced request as a serve.request.captured event with
-     all seven stage.* fields,
+     all six stage.* fields,
  10. degraded phase: start a second, deliberately under-provisioned
      server (1 slow worker, queue capacity 4), burst far past queue
      capacity, and assert /healthz flips to 503 with a
@@ -100,8 +100,8 @@ TRACE_REQ_ID = 424242
 CAPTURED_EVENT = "serve.request.captured"
 # Request stages the server stamps before the response leaves, in
 # pipeline order; "write" (the send itself) follows them.
-PRE_RESPONSE_STAGES = ("parse", "queue", "batch_form", "encode",
-                       "score", "serialize")
+PRE_RESPONSE_STAGES = ("parse", "queue", "batch_form", "score",
+                       "serialize")
 
 # Profile-phase sampling parameters. The bound check needs a busy-
 # thread ceiling: 2 workers + 2 loadgen connection threads + metrics
@@ -468,7 +468,7 @@ def check_debug_endpoints(metrics_port: int, client_ns: int,
 
 def captured_stages(fields: dict) -> dict:
     """The stage.<name> fields of one captured-request event, as
-    integer nanoseconds; all seven stages must be present."""
+    integer nanoseconds; all six stages must be present."""
     stages = {}
     for stage in PRE_RESPONSE_STAGES + ("write",):
         value = fields.get("stage." + stage)
